@@ -170,15 +170,6 @@ def _add_router_flags(parser: argparse.ArgumentParser) -> None:
              "is raced against a healthy sibling after an adaptive "
              "p95-based delay)",
     )
-    parser.add_argument(
-        "--rpc-format",
-        choices=("binary", "json"),
-        default="binary",
-        help="shard-candidate wire encoding the router asks workers "
-             "for; 'binary' negotiates wilson.rpc/v1 frames via the "
-             "Accept header and falls back to JSON per worker "
-             "(default %(default)s)",
-    )
 
 
 def _shard_policy(args: argparse.Namespace):
@@ -405,6 +396,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig, run_server
 
     if getattr(args, "shards", 1) > 1:
+        if args.ingest:
+            # The workers this spawns have no ingest planes: dropping
+            # the flag silently would fail every write with a 503.
+            print(
+                "error: serve --shards N cannot take --ingest; for live "
+                "writes on a sharded index run 'snapshot --shards N "
+                "--out DIR', then one 'serve --snapshot "
+                "DIR/shard-NNN.snap --ingest' per slice, then 'route DIR "
+                "--endpoint URL ...' over those workers",
+                file=sys.stderr,
+            )
+            return 2
         return _cmd_serve_sharded(args)
 
     metrics = Metrics()
@@ -483,7 +486,6 @@ def _router_config(args: argparse.Namespace):
             args.shard_timeout if args.shard_timeout is not None else 5.0
         ),
         shard_retries=args.shard_retries,
-        rpc_format=args.rpc_format,
         hedge_enabled=not args.no_hedge,
     )
 

@@ -48,6 +48,7 @@ from repro.serve.admission import (
     ShardAdmission,
 )
 from repro.serve.app import (
+    DEGRADED_HEADER,
     SERVE_COUNTERS,
     SERVE_GAUGES,
     SERVE_HISTOGRAMS,
@@ -82,7 +83,6 @@ from repro.serve.pool import (
 from repro.serve.cache import (
     ResultCache,
     make_cache_key,
-    make_merge_cache_key,
     normalize_keywords,
     window_intersects,
 )
@@ -99,7 +99,6 @@ from repro.serve.health import (
     replica_keys,
 )
 from repro.serve.router import (
-    DEGRADED_HEADER,
     ROUTER_COUNTERS,
     ROUTER_GAUGES,
     ROUTER_HISTOGRAMS,
@@ -178,7 +177,6 @@ __all__ = [
     "export_engine_slices",
     "export_slices",
     "make_cache_key",
-    "make_merge_cache_key",
     "merge_shard_candidates",
     "normalize_keywords",
     "parse_ingest_payload",

@@ -21,11 +21,12 @@ routes --
 
 Request flow for ``/v1/timeline``: cache lookup (key =
 normalised query + ``index_version``, so incremental ingestion
-invalidates exactly) -> admission control (bounded in-flight; excess
-load is shed with ``429`` + ``Retry-After``) -> micro-batching (requests
-arriving within one window run as a single fault-isolated
-:func:`repro.runtime.run_sharded` sweep on the thread backend; a
-poisoned query degrades its own response only).
+invalidates exactly) -> single-flight -> admission control (bounded
+in-flight; excess load is shed with ``429`` + ``Retry-After``) ->
+micro-batching (requests arriving within one window run as a single
+fault-isolated :func:`repro.runtime.run_sharded` sweep on the thread
+backend; a poisoned query degrades its own response only) -> guarded
+cache put.
 
 Everything response-shaped goes through :func:`canonical_json`, so a
 served timeline is byte-identical to the direct library call's
@@ -33,8 +34,9 @@ serialisation -- the equivalence the load benchmark and
 ``tests/test_serve_app.py`` enforce. The full wire contract lives in
 ``docs/serving.md``.
 
-The raw HTTP/1.1 plumbing (request parsing, keep-alive, lifecycle,
-graceful drain) lives in :class:`HttpServerBase`, shared between this
+That sequence, the rejection envelopes, ``/healthz``, ``/metrics`` and
+the raw HTTP/1.1 plumbing (request parsing, keep-alive, lifecycle,
+graceful drain) live in :class:`HttpServerBase`, shared between this
 server and the scatter-gather router in :mod:`repro.serve.router`.
 """
 
@@ -49,7 +51,17 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.ingest import IngestPlane, Segment
 from repro.obs.metrics import Metrics
@@ -76,6 +88,9 @@ WIRE_SCHEMA = "wilson.serve/v1"
 
 #: Hard cap on request body size; larger requests are rejected with 413.
 MAX_BODY_BYTES = 1 << 20
+
+#: Response header naming the shard ids missing from a partial merge.
+DEGRADED_HEADER = "X-Wilson-Degraded"
 
 #: Every metric name the serving tier may emit, by kind. The telemetry
 #: contract table in docs/observability.md must list each of these, and
@@ -201,17 +216,27 @@ class _Response:
     extra_headers: Tuple[Tuple[str, str], ...] = ()
 
 
-def error_response(status: int, detail: str) -> _Response:
-    """The canonical JSON error envelope for *status*."""
+def error_response(
+    status: int,
+    detail: str,
+    error: Optional[str] = None,
+    headers: Tuple[Tuple[str, str], ...] = (),
+) -> _Response:
+    """The canonical JSON error envelope for *status*.
+
+    *error* replaces the reason-phrase default of the ``error`` field
+    (``"draining"``, ``"overloaded"``, ``"degraded"``).
+    """
     return _Response(
         status,
         canonical_json(
             {
                 "schema": WIRE_SCHEMA,
-                "error": _REASONS.get(status, "error").lower(),
+                "error": error or _REASONS.get(status, "error").lower(),
                 "detail": detail,
             }
         ),
+        extra_headers=headers,
     )
 
 
@@ -404,46 +429,294 @@ def parse_ingest_payload(body: bytes) -> Tuple[List[Article], bool]:
 
 
 class HttpServerBase:
-    """Shared asyncio HTTP/1.1 plumbing of the serving tier.
+    """The request pipeline and HTTP/1.1 plumbing of the serving tier.
 
-    Owns the socket lifecycle (bind, accept loop, graceful shutdown via
-    :meth:`request_shutdown` or signals) and the hand-rolled HTTP
-    parsing/serialisation both servers of the tier use -- the
-    single-index :class:`TimelineServer` and the scatter-gather
-    :class:`~repro.serve.router.TimelineRouter`. Subclasses implement
-    :meth:`handle_request`, may override :attr:`draining` (keep-alive
-    stops while draining) and :meth:`_drain` (awaited once during
-    :meth:`shutdown`), and set :attr:`metric_prefix` so plumbing-level
-    counters (``bad_requests``) land in their own namespace.
+    Both servers of the tier -- the single-index :class:`TimelineServer`
+    and the scatter-gather :class:`~repro.serve.router.TimelineRouter`
+    -- are this class plus a candidate source. It owns the socket
+    lifecycle (bind, accept loop, graceful drain via
+    :meth:`request_shutdown` or signals), request accounting and route
+    dispatch, the rejection envelopes, ``/healthz`` and ``/metrics``,
+    and the one ``/v1/timeline`` sequence: cache lookup -> single-flight
+    -> admission -> compute -> guarded put -> envelope.
+
+    Subclasses set :attr:`metric_prefix` (``serve`` / ``router``) and
+    :attr:`role`, and implement the two methods the timeline sequence is
+    parameterised by -- :meth:`_cache_version` (the validity token the
+    cache key embeds) and :meth:`_compute_timeline` (the candidate
+    source plus the WILSON reduce) -- together with
+    :meth:`_index_version`, :meth:`_default_window`, :meth:`_health`
+    and the ``/v1/search`` and ``/v1/ingest`` handlers.
     """
 
-    #: Namespace for plumbing-emitted counters (``serve`` / ``router``).
+    #: Namespace of every counter/gauge the base emits.
     metric_prefix = "serve"
+    #: What the draining 503 detail calls this process.
+    role = "server"
+    #: path -> (method, handler attribute); subclasses may extend it.
+    routes: Dict[str, Tuple[str, str]] = {
+        "/healthz": ("GET", "_handle_healthz"),
+        "/metrics": ("GET", "_handle_metrics"),
+        "/v1/timeline": ("POST", "_handle_timeline"),
+        "/v1/ingest": ("POST", "_handle_ingest"),
+        "/v1/search": ("GET", "_handle_search"),
+    }
+    #: Artificial per-request delay in seconds (fault injection only; see
+    #: :class:`TimelineServer`).
+    _test_delay_seconds = 0.0
 
-    def __init__(self, host: str, port: int, metrics: Metrics) -> None:
-        self.metrics = metrics
-        self._host = host
-        self._bind_port = port
+    def __init__(self, config: Any, metrics: Optional[Metrics]) -> None:
+        self.config = config
+        self.metrics = metrics if metrics is not None else Metrics()
+        self.cache = ResultCache(
+            capacity=config.cache_size,
+            ttl_seconds=config.cache_ttl_seconds,
+        )
+        self.admission = AdmissionController(
+            max_inflight=config.max_inflight,
+            retry_after_seconds=config.retry_after_seconds,
+        )
+        # Single-flight table: identical concurrent misses share one
+        # computation (docs/architecture.md "Data plane").
+        self.flights = FlightTable()
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown_event: Optional[asyncio.Event] = None
 
     # -- subclass hooks --------------------------------------------------------
 
-    async def handle_request(self, request: _Request) -> _Response:
+    def _cache_version(self) -> Hashable:
+        """The validity token a timeline cache key embeds at lookup."""
         raise NotImplementedError
+
+    async def _compute_timeline(
+        self, query: TimelineQuery, version: Hashable
+    ) -> Union[_Response, Tuple[dict, bool, Sequence[int]]]:
+        """One cache-missing timeline: ``(result, cacheable, degraded)``.
+
+        *version* is the :meth:`_cache_version` the lookup used;
+        ``cacheable`` says whether the result may be stored under it and
+        ``degraded`` names shards missing from a partial merge. An error
+        comes back as the :class:`_Response` to send.
+        """
+        raise NotImplementedError
+
+    def _index_version(self) -> int:
+        """The index version envelopes, ``/healthz`` and gauges report."""
+        raise NotImplementedError
+
+    def _default_window(
+        self,
+    ) -> Optional[Tuple[datetime.date, datetime.date]]:
+        """The window a timeline request without ``start``/``end`` gets."""
+        raise NotImplementedError
+
+    async def _health(self) -> Tuple[str, Dict[str, Any]]:
+        """``(status, extra fields)`` of a non-draining ``/healthz``."""
+        raise NotImplementedError
+
+    def _count(self, name: str) -> None:
+        self.metrics.counter(f"{self.metric_prefix}.{name}").inc()
+
+    # -- envelopes -------------------------------------------------------------
+
+    @property
+    def _retry_after(self) -> Tuple[Tuple[str, str], ...]:
+        return (("Retry-After", f"{self.admission.retry_after_seconds:g}"),)
+
+    def _rejection(self) -> _Response:
+        """503 while draining, else 429: both with ``Retry-After``."""
+        if self.admission.draining:
+            self._count("rejected_draining")
+            return error_response(
+                503,
+                f"{self.role} is shutting down",
+                "draining",
+                self._retry_after,
+            )
+        self._count("shed")
+        return error_response(
+            429,
+            f"more than {self.admission.max_inflight} requests in flight",
+            "overloaded",
+            self._retry_after,
+        )
+
+    @staticmethod
+    def _envelope(
+        index_version: int,
+        fields: Dict[str, Any],
+        degraded: Sequence[int] = (),
+    ) -> _Response:
+        """A 200 ``wilson.serve/v1`` envelope.
+
+        A partial merge names its missing shards twice: in the
+        :data:`DEGRADED_HEADER` header and a ``degraded_shards`` field.
+        """
+        envelope = {
+            "schema": WIRE_SCHEMA,
+            "index_version": index_version,
+            **fields,
+        }
+        headers: Tuple[Tuple[str, str], ...] = ()
+        if degraded:
+            missing = sorted(degraded)
+            envelope["degraded_shards"] = missing
+            headers = ((DEGRADED_HEADER, ",".join(map(str, missing))),)
+        return _Response(200, canonical_json(envelope), extra_headers=headers)
+
+    # -- the shared routes -----------------------------------------------------
+
+    async def _handle_timeline(self, request: _Request) -> _Response:
+        """``POST /v1/timeline``, identically on every server.
+
+        Identical concurrent misses coalesce (:mod:`repro.serve.flight`):
+        followers re-loop on wake so they re-check the cache first, and a
+        follower that finds an unusable flight outcome computes
+        independently (``solo``) rather than daisy-chaining behind the
+        next leader. The put is guarded twice: the subclass's
+        ``cacheable`` verdict, and the cache generation read before the
+        computation started -- any invalidation sweep in between (an
+        ingest seal) discards the entry atomically under the cache lock.
+        The put's verdict doubles as the flight's validity, so followers
+        never reuse a result an invalidation already discarded.
+        """
+        self._count("timeline_requests")
+        query = parse_timeline_payload(
+            request.body,
+            default_window=self._default_window(),
+            default_num_dates=self.config.default_num_dates,
+            default_num_sentences=self.config.default_num_sentences,
+        )
+        solo = False
+        while True:
+            version = self._cache_version()
+            key = make_cache_key(
+                query.keywords,
+                query.start,
+                query.end,
+                query.num_dates,
+                query.num_sentences,
+                version,
+            )
+            cached = self.cache.get(key)
+            if cached is not None:
+                self._count("cache_hits")
+                return self._timeline_response(cached, "hit")
+            if not solo:
+                self._count("cache_misses")
+            flight = self.flights.lookup(key)
+            if flight is None or solo:
+                break
+            self._count("coalesced_requests")
+            await flight.done.wait()
+            if flight.ok and flight.valid:
+                return self._timeline_response(flight.result, "hit")
+            if self.admission.draining:
+                return self._rejection()
+            solo = True
+
+        if not self.admission.try_admit():
+            return self._rejection()
+        lead_flight = None if solo else self.flights.lead(key)
+        generation = self.cache.generation
+        ok = valid = False
+        result: Optional[dict] = None
+        try:
+            outcome = await self._compute_timeline(query, version)
+            if isinstance(outcome, _Response):
+                return outcome
+            result, cacheable, degraded = outcome
+            ok = True
+            valid = cacheable and self.cache.put(
+                key, result, generation=generation
+            )
+        finally:
+            self.admission.release()
+            if lead_flight is not None:
+                self.flights.finish(
+                    key, lead_flight, ok=ok, valid=valid, result=result
+                )
+        return self._timeline_response(result, "miss", degraded)
+
+    def _timeline_response(
+        self, result: dict, cache_state: str, degraded: Sequence[int] = ()
+    ) -> _Response:
+        return self._envelope(
+            self._index_version(),
+            {"cache": cache_state, "result": result},
+            degraded,
+        )
+
+    async def _handle_healthz(self, request: _Request) -> _Response:
+        """``GET /healthz``: liveness + index freshness; 503 while draining."""
+        status, fields = await self._health()
+        draining = self.admission.draining
+        payload = {
+            "schema": WIRE_SCHEMA,
+            "status": "draining" if draining else status,
+            "index_version": self._index_version(),
+            "inflight": self.admission.inflight,
+            "cache_entries": len(self.cache),
+            **fields,
+        }
+        return _Response(503 if draining else 200, canonical_json(payload))
+
+    async def _handle_metrics(self, request: _Request) -> _Response:
+        """``GET /metrics``: refresh the gauges, render Prometheus text."""
+        for name, value in (
+            ("inflight", self.admission.inflight),
+            ("cache_entries", len(self.cache)),
+            ("index_version", self._index_version()),
+            ("draining", 1.0 if self.admission.draining else 0.0),
+        ):
+            self.metrics.gauge(f"{self.metric_prefix}.{name}").set(value)
+        return _Response(
+            200,
+            self.metrics.render_prometheus().encode("utf-8"),
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+        )
+
+    async def _route(self, request: _Request) -> _Response:
+        route = self.routes.get(request.path)
+        if route is None:
+            self._count("not_found")
+            return error_response(404, f"no route for {request.path}")
+        method, handler = route
+        if request.method != method:
+            return error_response(405, f"use {method}")
+        return await getattr(self, handler)(request)
+
+    async def handle_request(self, request: _Request) -> _Response:
+        """Route one request, mapping failures to 4xx/5xx responses."""
+        self._count("requests")
+        if self._test_delay_seconds:
+            await asyncio.sleep(self._test_delay_seconds)
+        started = time.perf_counter()
+        try:
+            response = await self._route(request)
+        except _BadRequest as exc:
+            self._count("bad_requests")
+            response = error_response(400, str(exc))
+        except Exception as exc:  # noqa: BLE001 -- never drop a connection
+            self._count("errors")
+            response = error_response(500, f"{type(exc).__name__}: {exc}")
+        self.metrics.histogram(
+            f"{self.metric_prefix}.request_seconds"
+        ).observe(time.perf_counter() - started)
+        return response
 
     @property
     def draining(self) -> bool:
         """Whether the server is refusing new work (closes keep-alives)."""
-        return False
+        return self.admission.draining
 
     async def _drain(self) -> bool:
-        """Finish in-flight work during :meth:`shutdown`; drain verdict."""
-        return True
-
-    def _count(self, name: str) -> None:
-        self.metrics.counter(f"{self.metric_prefix}.{name}").inc()
+        """Stop admitting, then await in-flight work; the drain verdict."""
+        self.admission.begin_drain()
+        return await self.admission.wait_idle(
+            self.config.drain_timeout_seconds
+        )
 
     # -- HTTP plumbing ---------------------------------------------------------
 
@@ -584,8 +857,8 @@ class HttpServerBase:
         self._shutdown_event = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection,
-            host=self._host,
-            port=self._bind_port,
+            host=self.config.host,
+            port=self.config.port,
             limit=MAX_BODY_BYTES,
         )
 
@@ -630,11 +903,31 @@ class HttpServerBase:
         await self._shutdown_event.wait()
         return await self.shutdown()
 
+    def run(self, ready: Optional[Callable[[Any], None]] = None) -> bool:
+        """Blocking entry point: serve until SIGTERM/SIGINT, then drain.
+
+        *ready*, when given, is called with the started server (the CLI
+        uses it to print the bound address after ``port=0``
+        resolution). Returns the drain verdict of :meth:`shutdown`.
+        """
+
+        async def main() -> bool:
+            await self.start()
+            if ready is not None:
+                ready(self)
+            return await self.serve_until_shutdown()
+
+        return asyncio.run(main())
+
 
 class TimelineServer(HttpServerBase):
     """The asyncio HTTP front of one :class:`RealTimeTimelineSystem`."""
 
     metric_prefix = "serve"
+    routes = {
+        **HttpServerBase.routes,
+        "/v1/shard/search": ("GET", "_handle_shard_search"),
+    }
 
     def __init__(
         self,
@@ -644,20 +937,7 @@ class TimelineServer(HttpServerBase):
         ingest: Optional[IngestPlane] = None,
     ) -> None:
         self.system = system
-        self.config = config or ServeConfig()
-        super().__init__(
-            self.config.host,
-            self.config.port,
-            metrics if metrics is not None else Metrics(),
-        )
-        self.cache = ResultCache(
-            capacity=self.config.cache_size,
-            ttl_seconds=self.config.cache_ttl_seconds,
-        )
-        self.admission = AdmissionController(
-            max_inflight=self.config.max_inflight,
-            retry_after_seconds=self.config.retry_after_seconds,
-        )
+        super().__init__(config or ServeConfig(), metrics)
         self.batcher = MicroBatcher(
             dispatch=self._dispatch_batch,
             window_seconds=self.config.batch_window_ms / 1000.0,
@@ -672,9 +952,6 @@ class TimelineServer(HttpServerBase):
         self.ingest = ingest
         if ingest is not None:
             ingest.add_seal_listener(self._on_segment_sealed)
-        # Single-flight table: identical concurrent misses share one
-        # computation (docs/architecture.md "Data plane").
-        self.flights = FlightTable()
         # Fault-injection knob for smoke tests: an artificial
         # per-request delay (milliseconds) that makes this worker look
         # slow without touching any real code path -- CI's hedging
@@ -719,9 +996,33 @@ class TimelineServer(HttpServerBase):
         self.metrics.counter("serve.batched_queries").inc(size)
         self.metrics.histogram("serve.batch_size").observe(size)
 
-    # -- request parsing -------------------------------------------------------
+    # -- the timeline pipeline's hooks -----------------------------------------
 
-    def _index_window(
+    def _cache_version(self) -> int:
+        # Live-ingest mode keys entries under version 0: seals no longer
+        # strand the whole cache, the seal listener evicts precisely and
+        # the generation-guarded put closes the race with it. Segments
+        # are appended to the overlay *before* the listener sweeps the
+        # cache, so a seal either swept before the computation started
+        # (which then sees the post-seal view) or bumps the generation
+        # before the put, which is then discarded.
+        return 0 if self.ingest is not None else self.system.index_version
+
+    async def _compute_timeline(
+        self, query: TimelineQuery, version: Hashable
+    ) -> Union[_Response, Tuple[dict, bool, Sequence[int]]]:
+        shard = await self.batcher.submit(query)
+        if not shard.ok:
+            self._count("degraded")
+            return error_response(
+                500, shard.error or "query failed", "degraded"
+            )
+        return shard.value.to_dict(), True, ()
+
+    def _index_version(self) -> int:
+        return self.system.index_version
+
+    def _default_window(
         self,
     ) -> Optional[Tuple[datetime.date, datetime.date]]:
         dates = self.system.engine.index.dates()
@@ -729,173 +1030,16 @@ class TimelineServer(HttpServerBase):
             return None
         return dates[0], dates[-1]
 
+    async def _health(self) -> Tuple[str, Dict[str, Any]]:
+        fields: Dict[str, Any] = {
+            "indexed_sentences": self.system.engine.num_indexed_sentences,
+            "articles": self.system.engine.num_articles,
+        }
+        if self.ingest is not None:
+            fields["ingest"] = self.ingest.stats()
+        return "ok", fields
+
     # -- route handlers --------------------------------------------------------
-
-    async def _handle_timeline(self, request: _Request) -> _Response:
-        self.metrics.counter("serve.timeline_requests").inc()
-        query = parse_timeline_payload(
-            request.body,
-            default_window=self._index_window(),
-            default_num_dates=self.config.default_num_dates,
-            default_num_sentences=self.config.default_num_sentences,
-        )
-        solo = False
-        while True:
-            index_version = self.system.index_version
-            # Live-ingest mode keys entries under version 0: seals no
-            # longer strand the whole cache, the seal listener evicts
-            # precisely.
-            key = make_cache_key(
-                query.keywords,
-                query.start,
-                query.end,
-                query.num_dates,
-                query.num_sentences,
-                0 if self.ingest is not None else index_version,
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.metrics.counter("serve.cache_hits").inc()
-                return self._timeline_response(
-                    cached, index_version, "hit"
-                )
-            if not solo:
-                self.metrics.counter("serve.cache_misses").inc()
-            # Live-ingest mode: snapshot the cache's invalidation
-            # generation before generation starts. Segments are appended
-            # to the overlay *before* the seal listener sweeps the
-            # cache, so any seal that could stale the upcoming
-            # computation either ran its sweep already (the computation
-            # then sees the post-seal view) or will bump the generation
-            # before our put -- which then discards the entry atomically
-            # under the cache lock. No window remains for a pre-seal
-            # result to be cached after its eviction sweep ran.
-            generation = (
-                self.cache.generation if self.ingest is not None else None
-            )
-            flight = self.flights.lookup(key)
-            if flight is None or solo:
-                break
-            # Single-flight follower: an identical computation is
-            # already in progress; await its outcome instead of
-            # recomputing.
-            self.metrics.counter("serve.coalesced_requests").inc()
-            await flight.done.wait()
-            if flight.ok and flight.valid:
-                return self._timeline_response(
-                    flight.result, self.system.index_version, "hit"
-                )
-            if self.admission.draining:
-                self.metrics.counter("serve.rejected_draining").inc()
-                return _Response(
-                    503,
-                    canonical_json(
-                        {
-                            "schema": WIRE_SCHEMA,
-                            "error": "draining",
-                            "detail": "server is shutting down",
-                        }
-                    ),
-                    extra_headers=(
-                        (
-                            "Retry-After",
-                            f"{self.admission.retry_after_seconds:g}",
-                        ),
-                    ),
-                )
-            # The leader failed or its result was invalidated
-            # mid-flight: recompute independently (one more loop pass,
-            # re-checking the cache first) without joining any newer
-            # flight -- a failing leader must not daisy-chain waiters.
-            solo = True
-
-        lead_flight = self.flights.lead(key) if not solo else None
-        ok = valid = False
-        result: Optional[dict] = None
-        try:
-            if not self.admission.try_admit():
-                retry_after = (
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                )
-                if self.admission.draining:
-                    self.metrics.counter("serve.rejected_draining").inc()
-                    return _Response(
-                        503,
-                        canonical_json(
-                            {
-                                "schema": WIRE_SCHEMA,
-                                "error": "draining",
-                                "detail": "server is shutting down",
-                            }
-                        ),
-                        extra_headers=retry_after,
-                    )
-                self.metrics.counter("serve.shed").inc()
-                return _Response(
-                    429,
-                    canonical_json(
-                        {
-                            "schema": WIRE_SCHEMA,
-                            "error": "overloaded",
-                            "detail": (
-                                f"more than {self.admission.max_inflight} "
-                                "requests in flight"
-                            ),
-                        }
-                    ),
-                    extra_headers=retry_after,
-                )
-            try:
-                shard = await self.batcher.submit(query)
-            finally:
-                self.admission.release()
-
-            if not shard.ok:
-                self.metrics.counter("serve.degraded").inc()
-                return _Response(
-                    500,
-                    canonical_json(
-                        {
-                            "schema": WIRE_SCHEMA,
-                            "error": "degraded",
-                            "detail": shard.error or "query failed",
-                        }
-                    ),
-                )
-            result = shard.value.to_dict()
-            ok = True
-            # Under live ingest the put is generation-guarded: it lands
-            # only if no invalidation sweep ran since the
-            # pre-generation snapshot, checked inside the cache lock (a
-            # bare version re-check would race the seal listener firing
-            # between check and insert). The verdict doubles as the
-            # flight's validity: followers never reuse a result an
-            # invalidation already discarded.
-            valid = self.cache.put(key, result, generation=generation)
-            return self._timeline_response(result, index_version, "miss")
-        finally:
-            if lead_flight is not None:
-                self.flights.finish(
-                    key, lead_flight, ok=ok, valid=valid, result=result
-                )
-
-    def _timeline_response(
-        self, result: dict, index_version: int, cache_state: str
-    ) -> _Response:
-        return _Response(
-            200,
-            canonical_json(
-                {
-                    "schema": WIRE_SCHEMA,
-                    "cache": cache_state,
-                    "index_version": index_version,
-                    "result": result,
-                }
-            ),
-        )
 
     async def _handle_search(self, request: _Request) -> _Response:
         self.metrics.counter("serve.search_requests").inc()
@@ -904,28 +1048,24 @@ class TimelineServer(HttpServerBase):
         hits = await loop.run_in_executor(
             None, self.system.engine.search, search_query
         )
-        return _Response(
-            200,
-            canonical_json(
-                {
-                    "schema": WIRE_SCHEMA,
-                    "index_version": self.system.index_version,
-                    "count": len(hits),
-                    "hits": [
-                        {
-                            "text": hit.document.text,
-                            "date": hit.document.date.isoformat(),
-                            "publication_date": (
-                                hit.document.publication_date.isoformat()
-                            ),
-                            "article_id": hit.document.article_id,
-                            "is_reference": hit.document.is_reference,
-                            "score": hit.score,
-                        }
-                        for hit in hits
-                    ],
-                }
-            ),
+        return self._envelope(
+            self.system.index_version,
+            {
+                "count": len(hits),
+                "hits": [
+                    {
+                        "text": hit.document.text,
+                        "date": hit.document.date.isoformat(),
+                        "publication_date": (
+                            hit.document.publication_date.isoformat()
+                        ),
+                        "article_id": hit.document.article_id,
+                        "is_reference": hit.document.is_reference,
+                        "score": hit.score,
+                    }
+                    for hit in hits
+                ],
+            },
         )
 
     async def _handle_shard_search(self, request: _Request) -> _Response:
@@ -995,166 +1135,45 @@ class TimelineServer(HttpServerBase):
                 404, "ingest is not enabled on this server"
             )
         if self.draining:
-            self.metrics.counter("serve.rejected_draining").inc()
-            return _Response(
-                503,
-                canonical_json(
-                    {
-                        "schema": WIRE_SCHEMA,
-                        "error": "draining",
-                        "detail": "server is shutting down",
-                    }
-                ),
-                extra_headers=(
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                ),
-            )
+            return self._rejection()
         articles, sync = parse_ingest_payload(request.body)
+        fields: Dict[str, Any] = {"accepted": len(articles)}
         if sync:
             loop = asyncio.get_running_loop()
-            documents = await loop.run_in_executor(
+            fields["documents"] = await loop.run_in_executor(
                 None, plane.ingest, articles
             )
-            stats = plane.stats()
-            return _Response(
-                200,
-                canonical_json(
-                    {
-                        "schema": WIRE_SCHEMA,
-                        "accepted": len(articles),
-                        "documents": documents,
-                        "queue_depth": stats["queue_depth"],
-                        "index_version": stats["index_version"],
-                    }
-                ),
-            )
-        if not plane.submit(articles):
+        elif not plane.submit(articles):
             self.metrics.counter("serve.ingest_rejected").inc()
-            return _Response(
+            return error_response(
                 429,
-                canonical_json(
-                    {
-                        "schema": WIRE_SCHEMA,
-                        "error": "overloaded",
-                        "detail": (
-                            "ingest queue is full "
-                            f"({plane.config.queue_articles} articles)"
-                        ),
-                    }
-                ),
-                extra_headers=(
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                ),
+                "ingest queue is full "
+                f"({plane.config.queue_articles} articles)",
+                "overloaded",
+                self._retry_after,
             )
         stats = plane.stats()
         return _Response(
-            202,
+            200 if sync else 202,
             canonical_json(
                 {
                     "schema": WIRE_SCHEMA,
-                    "accepted": len(articles),
+                    **fields,
                     "queue_depth": stats["queue_depth"],
                     "index_version": stats["index_version"],
                 }
             ),
         )
 
-    def _handle_healthz(self) -> _Response:
-        draining = self.admission.draining
-        payload = {
-            "schema": WIRE_SCHEMA,
-            "status": "draining" if draining else "ok",
-            "indexed_sentences": self.system.engine.num_indexed_sentences,
-            "articles": self.system.engine.num_articles,
-            "index_version": self.system.index_version,
-            "inflight": self.admission.inflight,
-            "cache_entries": len(self.cache),
-        }
-        if self.ingest is not None:
-            payload["ingest"] = self.ingest.stats()
-        return _Response(503 if draining else 200, canonical_json(payload))
-
-    def _handle_metrics(self) -> _Response:
-        self.metrics.gauge("serve.inflight").set(self.admission.inflight)
-        self.metrics.gauge("serve.cache_entries").set(len(self.cache))
-        self.metrics.gauge("serve.index_version").set(
-            self.system.index_version
-        )
-        self.metrics.gauge("serve.draining").set(
-            1.0 if self.admission.draining else 0.0
-        )
+    async def _handle_metrics(self, request: _Request) -> _Response:
         if self.ingest is not None:
             self.ingest.refresh_gauges()
-        return _Response(
-            200,
-            self.metrics.render_prometheus().encode("utf-8"),
-            content_type="text/plain; version=0.0.4; charset=utf-8",
-        )
-
-    # -- routing ---------------------------------------------------------------
-
-    async def _route(self, request: _Request) -> _Response:
-        path, method = request.path, request.method
-        if path == "/healthz" and method == "GET":
-            return self._handle_healthz()
-        if path == "/metrics" and method == "GET":
-            return self._handle_metrics()
-        if path == "/v1/timeline":
-            if method != "POST":
-                return error_response(405, "use POST")
-            return await self._handle_timeline(request)
-        if path == "/v1/ingest":
-            if method != "POST":
-                return error_response(405, "use POST")
-            return await self._handle_ingest(request)
-        if path == "/v1/search":
-            if method != "GET":
-                return error_response(405, "use GET")
-            return await self._handle_search(request)
-        if path == "/v1/shard/search":
-            if method != "GET":
-                return error_response(405, "use GET")
-            return await self._handle_shard_search(request)
-        self.metrics.counter("serve.not_found").inc()
-        return error_response(404, f"no route for {path}")
-
-    async def handle_request(self, request: _Request) -> _Response:
-        """Route one request, mapping failures to 4xx/5xx responses."""
-        self.metrics.counter("serve.requests").inc()
-        if self._test_delay_seconds:
-            await asyncio.sleep(self._test_delay_seconds)
-        started = time.perf_counter()
-        try:
-            response = await self._route(request)
-        except _BadRequest as exc:
-            self.metrics.counter("serve.bad_requests").inc()
-            response = error_response(400, str(exc))
-        except Exception as exc:  # noqa: BLE001 -- never drop a connection
-            self.metrics.counter("serve.errors").inc()
-            response = error_response(500, f"{type(exc).__name__}: {exc}")
-        self.metrics.histogram("serve.request_seconds").observe(
-            time.perf_counter() - started
-        )
-        return response
+        return await super()._handle_metrics(request)
 
     # -- lifecycle -------------------------------------------------------------
 
-    @property
-    def draining(self) -> bool:
-        return self.admission.draining
-
     async def _drain(self) -> bool:
-        self.admission.begin_drain()
-        await self.batcher.drain()
-        idle = await self.admission.wait_idle(
-            self.config.drain_timeout_seconds
-        )
+        idle = await super()._drain()
         if self.ingest is not None:
             # Seal everything still queued before the process exits;
             # with a segments directory nothing is lost even on an
@@ -1179,23 +1198,13 @@ def run_server(
 ) -> bool:
     """Blocking entry point: serve until SIGTERM/SIGINT, then drain.
 
-    *ready*, when given, is called with the started server (the CLI uses
-    it to print the bound address after ``port=0`` resolution). *ingest*
-    attaches a started :class:`~repro.ingest.plane.IngestPlane`, enabling
-    ``POST /v1/ingest`` (the drain path seals whatever is still queued).
-    Returns the drain verdict of :meth:`TimelineServer.shutdown`.
+    *ingest* attaches a started :class:`~repro.ingest.plane.IngestPlane`,
+    enabling ``POST /v1/ingest`` (the drain path seals whatever is still
+    queued). See :meth:`HttpServerBase.run` for *ready* and the result.
     """
-    server = TimelineServer(
+    return TimelineServer(
         system, config=config, metrics=metrics, ingest=ingest
-    )
-
-    async def main() -> bool:
-        await server.start()
-        if ready is not None:
-            ready(server)
-        return await server.serve_until_shutdown()
-
-    return asyncio.run(main())
+    ).run(ready)
 
 
 class BackgroundServer:

@@ -43,12 +43,16 @@ def make_cache_key(
     end: Optional[datetime.date],
     num_dates: int,
     num_sentences: int,
-    index_version: int,
+    version: Hashable,
 ) -> Tuple[Hashable, ...]:
     """The full result-cache key for one timeline request.
 
     Every parameter that can change the served bytes participates; the
-    trailing ``index_version`` is what invalidates across writes.
+    trailing *version* is what invalidates across writes. The
+    single-index server passes its ``index_version`` (an int); the
+    router passes its per-shard version vector (a tuple in shard order),
+    so a write on any single shard strands exactly the merged entries
+    that depended on it.
     """
     return (
         normalize_keywords(keywords),
@@ -56,35 +60,7 @@ def make_cache_key(
         end.isoformat() if end is not None else "",
         int(num_dates),
         int(num_sentences),
-        int(index_version),
-    )
-
-
-def make_merge_cache_key(
-    keywords: Sequence[str],
-    start: Optional[datetime.date],
-    end: Optional[datetime.date],
-    num_dates: int,
-    num_sentences: int,
-    shard_versions: Sequence[int],
-) -> Tuple[Hashable, ...]:
-    """The router's merged-result cache key for one timeline request.
-
-    The sharded analogue of :func:`make_cache_key`: instead of one
-    ``index_version`` the key embeds the *tuple* of per-shard index
-    versions (in shard order), so a write on any single shard strands
-    exactly the merged entries that depended on it. The router only
-    caches fully healthy merges -- a degraded merge is partial data and
-    must never be replayed once the shard recovers -- so the versions in
-    the key are always the complete topology's.
-    """
-    return (
-        normalize_keywords(keywords),
-        start.isoformat() if start is not None else "",
-        end.isoformat() if end is not None else "",
-        int(num_dates),
-        int(num_sentences),
-        tuple(int(version) for version in shard_versions),
+        version,
     )
 
 

@@ -234,7 +234,6 @@ def _build_head(
     body: Optional[bytes],
     content_type: Optional[str],
     headers: Sequence[Tuple[str, str]],
-    keep_alive: bool,
 ) -> bytes:
     lines = [
         f"{method} {path_and_query} HTTP/1.1",
@@ -247,9 +246,7 @@ def _build_head(
         lines.append(f"Content-Length: {len(body)}")
     for name, value in headers:
         lines.append(f"{name}: {value}")
-    lines.append(
-        "Connection: keep-alive" if keep_alive else "Connection: close"
-    )
+    lines.append("Connection: keep-alive")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
@@ -291,8 +288,7 @@ async def _roundtrip(
     else:
         # No length means EOF is the only delimiter: drain to EOF and
         # force the connection closed afterwards. Parking it would hang
-        # the next request on it forever (the original `_http_get` body
-        # fallback bug, now confined to a retired connection).
+        # the next request on it forever.
         payload = await connection.reader.read()
     reusable = (
         length is not None
@@ -306,48 +302,30 @@ async def request(
     port: int,
     method: str,
     path_and_query: str,
-    pool: Optional[ConnectionPool] = None,
+    pool: ConnectionPool,
     body: Optional[bytes] = None,
     content_type: Optional[str] = None,
     headers: Sequence[Tuple[str, str]] = (),
 ) -> Tuple[int, Dict[str, str], bytes]:
     """One stdlib-only HTTP request; ``(status, headers, body)``.
 
-    With *pool* the exchange runs on a keep-alive connection from the
-    pool (transparently retrying once on a stale reused one); without,
-    it opens a one-shot ``Connection: close`` connection -- the legacy
-    data-plane behaviour, kept for A/B benchmarking.
+    The exchange runs on a keep-alive connection from *pool*,
+    transparently retrying once when a reused connection turns out
+    stale.
     """
     head = _build_head(
-        method,
-        path_and_query,
-        host,
-        port,
-        body,
-        content_type,
-        headers,
-        keep_alive=pool is not None,
+        method, path_and_query, host, port, body, content_type, headers
     )
-    attempts = 2 if pool is not None else 1
+    attempts = 2
     for attempt in range(attempts):
-        if pool is not None:
-            connection = await pool.acquire(host, port)
-        else:
-            reader, writer = await asyncio.open_connection(host, port)
-            connection = PooledConnection(
-                reader, writer, (host, port), reused=False
-            )
+        connection = await pool.acquire(host, port)
         try:
             status, response_headers, payload, reusable = (
                 await _roundtrip(connection, head, body)
             )
         except (OSError, EOFError, ConnectionError) as exc:
-            retryable = connection.reused and attempt + 1 < attempts
-            if pool is not None:
-                pool.release(connection, reusable=False)
-            else:
-                connection.close()
-            if retryable:
+            pool.release(connection, reusable=False)
+            if connection.reused and attempt + 1 < attempts:
                 continue
             raise ConnectionError(
                 f"request to {host}:{port} failed: {exc}"
@@ -355,14 +333,8 @@ async def request(
         except BaseException:
             # Cancellation (a hedged loser) or anything unexpected may
             # leave a half-read response on the wire: never re-park.
-            if pool is not None:
-                pool.release(connection, reusable=False)
-            else:
-                connection.close()
+            pool.release(connection, reusable=False)
             raise
-        if pool is not None:
-            pool.release(connection, reusable=reusable)
-        else:
-            connection.close()
+        pool.release(connection, reusable=reusable)
         return status, response_headers, payload
     raise ConnectionError(f"request to {host}:{port} failed")

@@ -61,32 +61,31 @@ from typing import (
     Any,
     Deque,
     Dict,
+    Hashable,
     List,
     Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.core.pipeline import Wilson, WilsonConfig
 from repro.obs.metrics import Metrics
 from repro.search.query import SearchQuery
-from repro.serve.admission import AdmissionController, ShardAdmission
+from repro.search.realtime import TimelineQuery
+from repro.serve.admission import ShardAdmission
 from repro.serve.app import (
     WIRE_SCHEMA,
     HttpServerBase,
-    _BadRequest,
     _Request,
     _Response,
     canonical_json,
     error_response,
     parse_ingest_payload,
     parse_search_query,
-    parse_timeline_payload,
 )
-from repro.serve.cache import ResultCache, make_merge_cache_key
-from repro.serve.flight import FlightTable
 from repro.serve.frames import RPC_CONTENT_TYPE, decode_shard_search
 from repro.serve.health import (
     HEALTHY,
@@ -142,9 +141,6 @@ ROUTER_HISTOGRAMS = (
 )
 ROUTER_METRIC_NAMES = ROUTER_COUNTERS + ROUTER_GAUGES + ROUTER_HISTOGRAMS
 
-#: Response header naming the shard ids missing from a partial merge.
-DEGRADED_HEADER = "X-Wilson-Degraded"
-
 
 @dataclass(frozen=True)
 class RouterConfig:
@@ -173,17 +169,9 @@ class RouterConfig:
     default_num_dates: int = 10
     default_num_sentences: int = 1
     #: Keep-alive connection pooling to shard workers
-    #: (:mod:`repro.serve.pool`). Disabling falls back to one
-    #: ``Connection: close`` connection per call -- kept for A/B
-    #: benchmarking (benchmarks/bench_data_plane.py).
-    pool_enabled: bool = True
+    #: (:mod:`repro.serve.pool`).
     pool_max_idle_per_endpoint: int = 8
     pool_idle_timeout_seconds: float = 30.0
-    #: Candidate encoding requested from shard workers: ``"binary"``
-    #: sends ``Accept: application/x-wilson-rpc`` and decodes
-    #: ``wilson.rpc/v1`` frames (workers that predate the format simply
-    #: keep answering JSON); ``"json"`` forces the JSON path.
-    rpc_format: str = "binary"
     #: Hedged replica reads: when a slice has a second healthy replica
     #: and the primary has not answered within the adaptive delay
     #: (rolling p95 of the shard's latency, clamped to
@@ -213,11 +201,6 @@ class RouterConfig:
             raise ValueError(
                 "probe_interval_seconds must be > 0, got "
                 f"{self.probe_interval_seconds}"
-            )
-        if self.rpc_format not in ("binary", "json"):
-            raise ValueError(
-                "rpc_format must be 'binary' or 'json', got "
-                f"{self.rpc_format!r}"
             )
         if self.hedge_delay_floor_seconds <= 0:
             raise ValueError(
@@ -366,42 +349,6 @@ def merge_shard_candidates(
     )
 
 
-async def _http_get(
-    host: str,
-    port: int,
-    path_and_query: str,
-    pool: Optional[ConnectionPool] = None,
-    headers: Sequence[Tuple[str, str]] = (),
-) -> Tuple[int, Dict[str, str], bytes]:
-    """One HTTP GET through the data plane; ``(status, headers, body)``.
-
-    With *pool* the call rides a keep-alive connection from
-    :mod:`repro.serve.pool` (stale reuses are transparently retried
-    once, broken connections retired); without, it opens a one-shot
-    ``Connection: close`` connection.
-    """
-    return await _pool_request(
-        host, port, "GET", path_and_query, pool=pool, headers=headers
-    )
-
-
-async def _http_post(
-    host: str,
-    port: int,
-    path: str,
-    body: bytes,
-    pool: Optional[ConnectionPool] = None,
-) -> Tuple[int, Dict[str, str], bytes]:
-    """One HTTP POST through the data plane; ``(status, headers, body)``.
-
-    Same pooling behaviour as :func:`_http_get`; used by the ingest
-    fan-out to forward article batches to shard workers.
-    """
-    return await _pool_request(
-        host, port, "POST", path, pool=pool, body=body
-    )
-
-
 @dataclass(frozen=True)
 class _ShardEndpoint:
     shard_id: int
@@ -462,6 +409,7 @@ class TimelineRouter(HttpServerBase):
     """
 
     metric_prefix = "router"
+    role = "router"
 
     def __init__(
         self,
@@ -480,12 +428,7 @@ class TimelineRouter(HttpServerBase):
                 f"{len(groups)} endpoint groups"
             )
         self.topology = topology
-        self.config = config or RouterConfig()
-        super().__init__(
-            self.config.host,
-            self.config.port,
-            metrics if metrics is not None else Metrics(),
-        )
+        super().__init__(config or RouterConfig(), metrics)
         self.wilson = wilson or Wilson(WilsonConfig())
         self.bm25_params = bm25_params
         #: Per-shard replica endpoint groups, shard-id order.
@@ -519,45 +462,29 @@ class TimelineRouter(HttpServerBase):
             metrics=self.metrics,
         )
         self._probe_task: Optional[asyncio.Task] = None
-        self.cache = ResultCache(
-            capacity=self.config.cache_size,
-            ttl_seconds=self.config.cache_ttl_seconds,
-        )
-        self.admission = AdmissionController(
-            max_inflight=self.config.max_inflight,
-            retry_after_seconds=self.config.retry_after_seconds,
-        )
         self.shard_admission = ShardAdmission(
             num_shards=topology.num_shards,
             max_inflight_per_shard=self.config.max_inflight_per_shard,
             retry_after_seconds=self.config.retry_after_seconds,
         )
-        # Last-known per-shard index versions; seeded from the manifest
-        # (slice snapshots inherit the source revision) and refreshed
-        # from every shard response. Merge-cache keys embed the tuple.
+        # The version vector: the highest index version seen per shard,
+        # seeded from the manifest (slice snapshots inherit the source
+        # revision) and raised -- never lowered -- by every fan-out
+        # response, probe and sync ingest forward (:meth:`_observe`).
+        # Merged-result cache keys embed it.
         self._shard_versions: List[int] = [
             topology.source_index_version
         ] * topology.num_shards
         # -- data plane (docs/architecture.md "Data plane") ------------------
-        self._pool: Optional[ConnectionPool] = (
-            ConnectionPool(
-                max_idle_per_endpoint=(
-                    self.config.pool_max_idle_per_endpoint
-                ),
-                idle_timeout_seconds=(
-                    self.config.pool_idle_timeout_seconds
-                ),
-                metrics=self.metrics,
-            )
-            if self.config.pool_enabled
-            else None
+        self._pool = ConnectionPool(
+            max_idle_per_endpoint=(
+                self.config.pool_max_idle_per_endpoint
+            ),
+            idle_timeout_seconds=(
+                self.config.pool_idle_timeout_seconds
+            ),
+            metrics=self.metrics,
         )
-        self._shard_accept_headers: Tuple[Tuple[str, str], ...] = (
-            (("Accept", RPC_CONTENT_TYPE),)
-            if self.config.rpc_format == "binary"
-            else ()
-        )
-        self.flights = FlightTable()
         #: Rolling per-shard latency samples (successful calls only)
         #: feeding the adaptive hedge delay.
         self._latency_windows: List[Deque[float]] = [
@@ -566,22 +493,148 @@ class TimelineRouter(HttpServerBase):
         self._outstanding_hedges = 0
         self.metrics.gauge("router.shards").set(topology.num_shards)
 
-    # -- shard I/O -------------------------------------------------------------
+    # -- the timeline pipeline's hooks -----------------------------------------
+
+    def _cache_version(self) -> Tuple[int, ...]:
+        return tuple(self._shard_versions)
+
+    async def _compute_timeline(
+        self, query: TimelineQuery, version: Hashable
+    ) -> Union[_Response, Tuple[dict, bool, Sequence[int]]]:
+        """Scatter retrieval, merge, then one central WILSON reduce.
+
+        The result is cacheable under the lookup's version vector only
+        when the merge is complete and the versions of the responses it
+        merged equal that vector and the vector after the reduce: a
+        lagging replica's response, or a write acked while the reduce
+        ran, must not be stored under a key that claims newer data.
+        """
+        retrieval_started = time.perf_counter()
+        search_query = SearchQuery(
+            keywords=query.keywords,
+            start=query.start,
+            end=query.end,
+            limit=self.config.fanout_limit,
+        )
+        responses, degraded = await self._fanout(
+            self._shard_search_path(
+                search_query, self.config.fanout_limit
+            )
+        )
+        if not responses:
+            return error_response(
+                503, "all shards unavailable; cannot merge"
+            )
+        merged = self._merge(responses, self.config.fanout_limit)
+        dated = [
+            DatedSentence(
+                date=datetime.date.fromisoformat(hit.payload["date"]),
+                text=hit.payload["text"],
+                publication_date=datetime.date.fromisoformat(
+                    hit.payload["publication_date"]
+                ),
+                article_id=hit.payload["article_id"],
+                is_reference=hit.payload["is_reference"],
+            )
+            for hit in merged.hits
+        ]
+        retrieval_seconds = time.perf_counter() - retrieval_started
+
+        # Central reduce: one WILSON run over the merged candidate
+        # pool -- identical inputs to the single-index path, so an
+        # identical timeline comes out.
+        matrix_cache = getattr(self.wilson, "day_matrix_cache", None)
+        if matrix_cache is not None:
+            matrix_cache.sync_version(self._index_version())
+        generation_started = time.perf_counter()
+        loop = asyncio.get_running_loop()
+        timeline = await loop.run_in_executor(
+            None,
+            lambda: self.wilson.summarize(
+                dated,
+                num_dates=query.num_dates,
+                num_sentences=query.num_sentences,
+                query=query.keywords,
+            ),
+        )
+        generation_seconds = time.perf_counter() - generation_started
+        result = {
+            "timeline": timeline.to_dict(),
+            "num_candidates": len(dated),
+            "telemetry": {
+                "retrieval_seconds": retrieval_seconds,
+                "generation_seconds": generation_seconds,
+                "total_seconds": (
+                    retrieval_seconds + generation_seconds
+                ),
+            },
+        }
+        merged_versions = tuple(
+            int(responses[shard_id]["index_version"])
+            for shard_id in sorted(responses)
+        )
+        cacheable = not degraded and (
+            merged_versions == version == self._cache_version()
+        )
+        return result, cacheable, degraded
 
     def _index_version(self) -> int:
-        return max(self._shard_versions) if self._shard_versions else 0
+        return max(self._shard_versions)
+
+    def _default_window(
+        self,
+    ) -> Optional[Tuple[datetime.date, datetime.date]]:
+        return self.topology.window()
+
+    # -- shard I/O -------------------------------------------------------------
+
+    def _observe(self, shard_id: int, payload: Mapping[str, Any]) -> None:
+        """Raise *shard_id*'s vector entry to a response's index version.
+
+        Max per shard: replicas of one slice seal independently, so a
+        lagging replica's answer must never pull the vector back.
+        """
+        version = payload.get("index_version")
+        if version is not None:
+            self._shard_versions[shard_id] = max(
+                self._shard_versions[shard_id], int(version)
+            )
+
+    async def _exchange(
+        self,
+        endpoint: _ShardEndpoint,
+        method: str,
+        path_and_query: str,
+        body: Optional[bytes] = None,
+        headers: Sequence[Tuple[str, str]] = (),
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One pooled HTTP exchange with *endpoint* under the shard deadline.
+
+        Every shard call, ingest forward and health probe goes through
+        here, on a keep-alive connection from :mod:`repro.serve.pool`.
+        """
+        return await asyncio.wait_for(
+            _pool_request(
+                endpoint.host,
+                endpoint.port,
+                method,
+                path_and_query,
+                self._pool,
+                body=body,
+                headers=headers,
+            ),
+            timeout=self.config.shard_timeout_seconds,
+        )
 
     async def _replica_attempt(
         self, key: ReplicaKey, path_and_query: str
     ) -> Dict[str, Any]:
-        """One HTTP exchange with one replica; the decoded payload.
+        """One shard search on one replica; the decoded payload.
 
-        Rides the keep-alive pool and negotiates ``wilson.rpc/v1``
-        frames when the router is configured for them (a worker that
-        ignores the ``Accept`` header answers JSON and both decode to
-        the same dict). Raises on any failure -- connection error,
-        timeout, non-200, undecodable payload -- and the caller records
-        the outcome with the health tracker.
+        Asks for a ``wilson.rpc/v1`` candidate frame. Raises on any
+        failure -- connection error, timeout, non-200, a body that is
+        not a valid frame -- and the caller records the outcome with the
+        health tracker.
         """
         endpoint = self._endpoint_by_key[key]
         self.metrics.counter("router.shard_requests").inc()
@@ -589,24 +642,16 @@ class TimelineRouter(HttpServerBase):
         started = loop.time()
         self.health.inflight.acquire(key)
         try:
-            status, headers, body = await asyncio.wait_for(
-                _http_get(
-                    endpoint.host,
-                    endpoint.port,
-                    path_and_query,
-                    pool=self._pool,
-                    headers=self._shard_accept_headers,
-                ),
-                timeout=self.config.shard_timeout_seconds,
+            status, _, body = await self._exchange(
+                endpoint,
+                "GET",
+                path_and_query,
+                headers=(("Accept", RPC_CONTENT_TYPE),),
             )
             if status != 200:
                 raise ConnectionError(f"shard answered HTTP {status}")
-            content_type = headers.get("content-type", "")
-            if content_type.startswith(RPC_CONTENT_TYPE):
-                self.metrics.counter("router.binary_frames").inc()
-                payload = decode_shard_search(body)
-            else:
-                payload = json.loads(body.decode("utf-8"))
+            payload = decode_shard_search(body)
+            self.metrics.counter("router.binary_frames").inc()
             self._latency_windows[key[0]].append(loop.time() - started)
             return payload
         finally:
@@ -791,12 +836,7 @@ class TimelineRouter(HttpServerBase):
                     shard_id, key, path_and_query, failed
                 )
                 if payload is not None:
-                    self._shard_versions[shard_id] = int(
-                        payload.get(
-                            "index_version",
-                            self._shard_versions[shard_id],
-                        )
-                    )
+                    self._observe(shard_id, payload)
                     return payload
                 attempt += max(1, consumed)
             self.metrics.counter("router.shard_failures").inc()
@@ -864,227 +904,13 @@ class TimelineRouter(HttpServerBase):
             self.metrics.counter("router.truncated_merges").inc()
         return merged
 
-    @staticmethod
-    def _degraded_extras(
-        degraded: List[int],
-    ) -> Tuple[Tuple[Tuple[str, str], ...], Dict[str, Any]]:
-        """Header tuple + envelope fields flagging a partial merge."""
-        if not degraded:
-            return (), {}
-        ids = ",".join(str(shard_id) for shard_id in sorted(degraded))
-        return (
-            ((DEGRADED_HEADER, ids),),
-            {"degraded_shards": sorted(degraded)},
-        )
-
-    def _admission_rejection(self) -> _Response:
-        retry_after = (
-            ("Retry-After", f"{self.admission.retry_after_seconds:g}"),
-        )
-        if self.admission.draining:
-            self.metrics.counter("router.rejected_draining").inc()
-            return _Response(
-                503,
-                canonical_json(
-                    {
-                        "schema": WIRE_SCHEMA,
-                        "error": "draining",
-                        "detail": "router is shutting down",
-                    }
-                ),
-                extra_headers=retry_after,
-            )
-        self.metrics.counter("router.shed").inc()
-        return _Response(
-            429,
-            canonical_json(
-                {
-                    "schema": WIRE_SCHEMA,
-                    "error": "overloaded",
-                    "detail": (
-                        f"more than {self.admission.max_inflight} "
-                        "requests in flight"
-                    ),
-                }
-            ),
-            extra_headers=retry_after,
-        )
-
     # -- route handlers --------------------------------------------------------
-
-    async def _handle_timeline(self, request: _Request) -> _Response:
-        self.metrics.counter("router.timeline_requests").inc()
-        query = parse_timeline_payload(
-            request.body,
-            default_window=self.topology.window(),
-            default_num_dates=self.config.default_num_dates,
-            default_num_sentences=self.config.default_num_sentences,
-        )
-        # Single-flight coalescing (repro.serve.flight): identical
-        # concurrent misses share the leader's merge + summarize run.
-        # Followers re-loop on wake so they re-check the cache first; a
-        # follower that finds an unusable flight outcome computes
-        # independently (``solo``) rather than daisy-chaining behind the
-        # next leader.
-        solo = False
-        while True:
-            versions = tuple(self._shard_versions)
-            key = make_merge_cache_key(
-                query.keywords,
-                query.start,
-                query.end,
-                query.num_dates,
-                query.num_sentences,
-                versions,
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.metrics.counter("router.cache_hits").inc()
-                return self._timeline_response(
-                    cached, self._index_version(), "hit", ()
-                )
-            if not solo:
-                self.metrics.counter("router.cache_misses").inc()
-            flight = self.flights.lookup(key)
-            if flight is None or solo:
-                break
-            self.metrics.counter("router.coalesced_requests").inc()
-            await flight.done.wait()
-            if flight.ok and flight.valid:
-                return self._timeline_response(
-                    flight.result, self._index_version(), "hit", ()
-                )
-            if self.admission.draining:
-                return self._admission_rejection()
-            solo = True
-
-        if not self.admission.try_admit():
-            return self._admission_rejection()
-        lead_flight = self.flights.lead(key) if not solo else None
-        ok = valid = False
-        try:
-            retrieval_started = time.perf_counter()
-            search_query = SearchQuery(
-                keywords=query.keywords,
-                start=query.start,
-                end=query.end,
-                limit=self.config.fanout_limit,
-            )
-            responses, degraded = await self._fanout(
-                self._shard_search_path(
-                    search_query, self.config.fanout_limit
-                )
-            )
-            if not responses:
-                return error_response(
-                    503, "all shards unavailable; cannot merge"
-                )
-            merged = self._merge(responses, self.config.fanout_limit)
-            dated = [
-                DatedSentence(
-                    date=datetime.date.fromisoformat(hit.payload["date"]),
-                    text=hit.payload["text"],
-                    publication_date=datetime.date.fromisoformat(
-                        hit.payload["publication_date"]
-                    ),
-                    article_id=hit.payload["article_id"],
-                    is_reference=hit.payload["is_reference"],
-                )
-                for hit in merged.hits
-            ]
-            retrieval_seconds = time.perf_counter() - retrieval_started
-
-            # Central reduce: one WILSON run over the merged candidate
-            # pool -- identical inputs to the single-index path, so an
-            # identical timeline comes out.
-            index_version = self._index_version()
-            matrix_cache = getattr(self.wilson, "day_matrix_cache", None)
-            if matrix_cache is not None:
-                matrix_cache.sync_version(index_version)
-            generation_started = time.perf_counter()
-            loop = asyncio.get_running_loop()
-            timeline = await loop.run_in_executor(
-                None,
-                lambda: self.wilson.summarize(
-                    dated,
-                    num_dates=query.num_dates,
-                    num_sentences=query.num_sentences,
-                    query=query.keywords,
-                ),
-            )
-            generation_seconds = time.perf_counter() - generation_started
-            result = {
-                "timeline": timeline.to_dict(),
-                "num_candidates": len(dated),
-                "telemetry": {
-                    "retrieval_seconds": retrieval_seconds,
-                    "generation_seconds": generation_seconds,
-                    "total_seconds": (
-                        retrieval_seconds + generation_seconds
-                    ),
-                },
-            }
-            ok = True
-            if not degraded:
-                # Only fully healthy merges are cacheable: a degraded
-                # merge is partial data and the key's version tuple
-                # describes the *complete* topology. The flight result
-                # is valid for followers only if no shard version moved
-                # mid-flight -- the version tuple is the router's
-                # generation guard.
-                self.cache.put(
-                    make_merge_cache_key(
-                        query.keywords,
-                        query.start,
-                        query.end,
-                        query.num_dates,
-                        query.num_sentences,
-                        tuple(self._shard_versions),
-                    ),
-                    result,
-                )
-                valid = tuple(self._shard_versions) == versions
-        finally:
-            self.admission.release()
-            if lead_flight is not None:
-                self.flights.finish(
-                    key,
-                    lead_flight,
-                    ok=ok,
-                    valid=valid,
-                    result=result if ok else None,
-                )
-
-        headers, extras = self._degraded_extras(degraded)
-        return self._timeline_response(
-            result, self._index_version(), "miss", headers, extras
-        )
-
-    def _timeline_response(
-        self,
-        result: dict,
-        index_version: int,
-        cache_state: str,
-        headers: Tuple[Tuple[str, str], ...],
-        extras: Optional[Dict[str, Any]] = None,
-    ) -> _Response:
-        envelope: Dict[str, Any] = {
-            "schema": WIRE_SCHEMA,
-            "cache": cache_state,
-            "index_version": index_version,
-            "result": result,
-        }
-        if extras:
-            envelope.update(extras)
-        return _Response(
-            200, canonical_json(envelope), extra_headers=headers
-        )
 
     async def _handle_search(self, request: _Request) -> _Response:
         self.metrics.counter("router.search_requests").inc()
         search_query = parse_search_query(request.query)
         if not self.admission.try_admit():
-            return self._admission_rejection()
+            return self._rejection()
         try:
             # Shards get the larger fan-out budget so the *global* top
             # ``limit`` is assembled from complete local candidate sets,
@@ -1102,26 +928,23 @@ class TimelineRouter(HttpServerBase):
             merged = self._merge(responses, search_query.limit)
         finally:
             self.admission.release()
-        headers, extras = self._degraded_extras(degraded)
-        envelope: Dict[str, Any] = {
-            "schema": WIRE_SCHEMA,
-            "index_version": merged.index_version,
-            "count": len(merged.hits),
-            "hits": [
-                {
-                    "text": hit.payload["text"],
-                    "date": hit.payload["date"],
-                    "publication_date": hit.payload["publication_date"],
-                    "article_id": hit.payload["article_id"],
-                    "is_reference": hit.payload["is_reference"],
-                    "score": hit.score,
-                }
-                for hit in merged.hits
-            ],
-        }
-        envelope.update(extras)
-        return _Response(
-            200, canonical_json(envelope), extra_headers=headers
+        return self._envelope(
+            merged.index_version,
+            {
+                "count": len(merged.hits),
+                "hits": [
+                    {
+                        "text": hit.payload["text"],
+                        "date": hit.payload["date"],
+                        "publication_date": hit.payload["publication_date"],
+                        "article_id": hit.payload["article_id"],
+                        "is_reference": hit.payload["is_reference"],
+                        "score": hit.score,
+                    }
+                    for hit in merged.hits
+                ],
+            },
+            degraded,
         )
 
     # -- ingest fan-out --------------------------------------------------------
@@ -1168,33 +991,24 @@ class TimelineRouter(HttpServerBase):
         replicas that sealed the batch before a sibling rejected it
         simply ignore the retry while the laggards catch up, converging
         the group instead of duplicating documents.
+
+        A ``"sync": true`` batch answers 200 only when every replica of
+        every owning shard sealed it (answered 200), so the caller can
+        read its write back: each sealed replica's post-seal
+        ``index_version`` raises the version vector, which strands the
+        merged results cached before the write. Anything less answers
+        202, like an async batch.
         """
         self.metrics.counter("router.ingest_requests").inc()
         if self.draining:
-            self.metrics.counter("router.rejected_draining").inc()
-            return _Response(
-                503,
-                canonical_json(
-                    {
-                        "schema": WIRE_SCHEMA,
-                        "error": "draining",
-                        "detail": "router is shutting down",
-                    }
-                ),
-                extra_headers=(
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                ),
-            )
+            return self._rejection()
         articles, sync = parse_ingest_payload(request.body)
         groups: Dict[int, List[Any]] = {}
         for article in articles:
             shard_id = self._owning_shard(article.publication_date)
             groups.setdefault(shard_id, []).append(article)
 
-        async def forward(shard_id: int, group: List[Any]) -> str:
+        async def forward(shard_id: int, group: List[Any]) -> List[int]:
             body = canonical_json(
                 {
                     "articles": [
@@ -1211,45 +1025,36 @@ class TimelineRouter(HttpServerBase):
                     "sync": sync,
                 }
             )
-            outcomes = []
+            statuses = []
             for endpoint in self.replica_groups[shard_id]:
                 try:
-                    status, _, _ = await asyncio.wait_for(
-                        _http_post(
-                            endpoint.host,
-                            endpoint.port,
-                            "/v1/ingest",
-                            body,
-                            pool=self._pool,
-                        ),
-                        timeout=self.config.shard_timeout_seconds,
+                    status, _, answer = await self._exchange(
+                        endpoint, "POST", "/v1/ingest", body
                     )
-                    outcomes.append(status)
                 except (
                     OSError,
                     asyncio.TimeoutError,
                     ConnectionError,
                     ValueError,
                 ):
-                    outcomes.append(0)
-            if any(status == 429 for status in outcomes):
-                return "rejected"
-            if any(status in (200, 202) for status in outcomes):
-                return "accepted"
-            return "failed"
+                    status, answer = 0, b""
+                if sync and status == 200:
+                    self._observe(shard_id, json.loads(answer))
+                statuses.append(status)
+            return statuses
 
         shard_ids = sorted(groups)
-        verdicts = await asyncio.gather(
+        outcomes = await asyncio.gather(
             *(forward(shard_id, groups[shard_id]) for shard_id in shard_ids)
         )
         routed: Dict[str, int] = {}
         accepted = rejected = failed = 0
-        for shard_id, verdict in zip(shard_ids, verdicts):
+        for shard_id, statuses in zip(shard_ids, outcomes):
             routed[str(shard_id)] = len(groups[shard_id])
-            if verdict == "accepted":
-                accepted += len(groups[shard_id])
-            elif verdict == "rejected":
+            if 429 in statuses:
                 rejected += len(groups[shard_id])
+            elif 200 in statuses or 202 in statuses:
+                accepted += len(groups[shard_id])
             else:
                 failed += len(groups[shard_id])
         if accepted:
@@ -1269,18 +1074,14 @@ class TimelineRouter(HttpServerBase):
             return _Response(503, canonical_json(payload))
         if rejected:
             return _Response(
-                429,
-                canonical_json(payload),
-                extra_headers=(
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                ),
+                429, canonical_json(payload), extra_headers=self._retry_after
             )
-        return _Response(202, canonical_json(payload))
+        sealed = sync and all(
+            status == 200 for statuses in outcomes for status in statuses
+        )
+        return _Response(200 if sealed else 202, canonical_json(payload))
 
-    async def _handle_healthz(self) -> _Response:
+    async def _health(self) -> Tuple[str, Dict[str, Any]]:
         """Probe every replica; report shard coverage and replica fleet.
 
         Each probe outcome also feeds the health state machine, so two
@@ -1307,18 +1108,13 @@ class TimelineRouter(HttpServerBase):
                 replicas_healthy += 1
         healthy = sum(shard_ok)
         self.metrics.gauge("router.shards_healthy").set(healthy)
-        draining = self.admission.draining
-        if draining:
-            status = "draining"
-        elif healthy < self.topology.num_shards:
+        if healthy < self.topology.num_shards:
             status = "degraded"
         elif replicas_healthy < len(self.endpoints):
             status = "impaired"
         else:
             status = "ok"
-        payload = {
-            "schema": WIRE_SCHEMA,
-            "status": status,
+        return status, {
             "shards": self.topology.num_shards,
             "shards_healthy": healthy,
             "replicas": len(self.endpoints),
@@ -1331,32 +1127,16 @@ class TimelineRouter(HttpServerBase):
                 )
             },
             "total_documents": self.topology.total_documents,
-            "index_version": self._index_version(),
-            "inflight": self.admission.inflight,
-            "cache_entries": len(self.cache),
         }
-        return _Response(503 if draining else 200, canonical_json(payload))
 
     async def _probe_replica(self, endpoint: _ShardEndpoint) -> bool:
         try:
-            status, _, body = await asyncio.wait_for(
-                _http_get(
-                    endpoint.host,
-                    endpoint.port,
-                    "/healthz",
-                    pool=self._pool,
-                ),
-                timeout=self.config.shard_timeout_seconds,
+            status, _, body = await self._exchange(
+                endpoint, "GET", "/healthz"
             )
             if status != 200:
                 return False
-            payload = json.loads(body.decode("utf-8"))
-            self._shard_versions[endpoint.shard_id] = int(
-                payload.get(
-                    "index_version",
-                    self._shard_versions[endpoint.shard_id],
-                )
-            )
+            self._observe(endpoint.shard_id, json.loads(body))
             return True
         except (
             OSError,
@@ -1377,8 +1157,7 @@ class TimelineRouter(HttpServerBase):
         """
         while True:
             await asyncio.sleep(self.config.probe_interval_seconds)
-            if self._pool is not None:
-                self._pool.reap_idle()
+            self._pool.reap_idle()
             due = self.health.due_probes()
             if not due:
                 continue
@@ -1389,65 +1168,7 @@ class TimelineRouter(HttpServerBase):
             for key, ok in zip(due, results):
                 self.health.record_probe(key, ok)
 
-    def _handle_metrics(self) -> _Response:
-        self.metrics.gauge("router.inflight").set(self.admission.inflight)
-        self.metrics.gauge("router.cache_entries").set(len(self.cache))
-        self.metrics.gauge("router.index_version").set(
-            self._index_version()
-        )
-        self.metrics.gauge("router.draining").set(
-            1.0 if self.admission.draining else 0.0
-        )
-        return _Response(
-            200,
-            self.metrics.render_prometheus().encode("utf-8"),
-            content_type="text/plain; version=0.0.4; charset=utf-8",
-        )
-
-    # -- routing ---------------------------------------------------------------
-
-    async def _route(self, request: _Request) -> _Response:
-        path, method = request.path, request.method
-        if path == "/healthz" and method == "GET":
-            return await self._handle_healthz()
-        if path == "/metrics" and method == "GET":
-            return self._handle_metrics()
-        if path == "/v1/timeline":
-            if method != "POST":
-                return error_response(405, "use POST")
-            return await self._handle_timeline(request)
-        if path == "/v1/search":
-            if method != "GET":
-                return error_response(405, "use GET")
-            return await self._handle_search(request)
-        if path == "/v1/ingest":
-            if method != "POST":
-                return error_response(405, "use POST")
-            return await self._handle_ingest(request)
-        self.metrics.counter("router.not_found").inc()
-        return error_response(404, f"no route for {path}")
-
-    async def handle_request(self, request: _Request) -> _Response:
-        self.metrics.counter("router.requests").inc()
-        started = time.perf_counter()
-        try:
-            response = await self._route(request)
-        except _BadRequest as exc:
-            self.metrics.counter("router.bad_requests").inc()
-            response = error_response(400, str(exc))
-        except Exception as exc:  # noqa: BLE001 -- never drop a connection
-            self.metrics.counter("router.errors").inc()
-            response = error_response(500, f"{type(exc).__name__}: {exc}")
-        self.metrics.histogram("router.request_seconds").observe(
-            time.perf_counter() - started
-        )
-        return response
-
     # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def draining(self) -> bool:
-        return self.admission.draining
 
     async def start(self) -> None:
         await super().start()
@@ -1464,16 +1185,12 @@ class TimelineRouter(HttpServerBase):
                 pass
             self._probe_task = None
         drained = await super().shutdown()
-        if self._pool is not None:
-            self._pool.close()
+        self._pool.close()
         return drained
 
     async def _drain(self) -> bool:
-        self.admission.begin_drain()
         self.shard_admission.begin_drain()
-        drained = await self.admission.wait_idle(
-            self.config.drain_timeout_seconds
-        )
+        drained = await super()._drain()
         return (
             await self.shard_admission.wait_idle(
                 self.config.drain_timeout_seconds
@@ -1492,22 +1209,14 @@ def run_router(
 ) -> bool:
     """Blocking entry point: route until SIGTERM/SIGINT, then drain.
 
-    The sharded sibling of :func:`repro.serve.app.run_server`; *ready*
-    receives the started router (the CLI prints the bound address and
-    shard layout from it). Returns the drain verdict.
+    The sharded sibling of :func:`repro.serve.app.run_server`; see
+    :meth:`~repro.serve.app.HttpServerBase.run` for *ready* and the
+    result.
     """
-    router = TimelineRouter(
+    return TimelineRouter(
         topology,
         endpoints,
         config=config,
         metrics=metrics,
         wilson=wilson,
-    )
-
-    async def main() -> bool:
-        await router.start()
-        if ready is not None:
-            ready(router)
-        return await router.serve_until_shutdown()
-
-    return asyncio.run(main())
+    ).run(ready)

@@ -298,6 +298,17 @@ class TestServeBoot:
         assert indexed > 0
         assert system.index_version > 0
 
+    def test_sharded_serve_rejects_ingest(self, capsys):
+        # Refused before anything is indexed or spawned, naming the
+        # layout that does take live writes.
+        assert main(
+            ["serve", "--shards", "2", "--ingest", "--port", "0"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "snapshot --shards N" in err
+        assert "serve --snapshot" in err and "--ingest" in err
+        assert "route" in err
+
 
 class TestDiagnose:
     def test_diagnose_runs(self, capsys):

@@ -22,6 +22,7 @@ write-path contract of docs/ingest.md:
 
 import http.client
 import json
+import threading
 
 import pytest
 
@@ -457,7 +458,7 @@ class TestRouterIngestFanOut:
                 "sync": True,
             },
         )
-        assert status == 202
+        assert status == 200
         envelope = json.loads(raw)
         assert set(envelope) == {
             "schema", "accepted", "rejected", "failed", "routed",
@@ -484,6 +485,165 @@ class TestRouterIngestFanOut:
         assert status == 200
         merged = json.loads(raw)
         assert "2021-03-13" in merged["result"]["timeline"]
+
+    def test_sync_write_through_the_router_reads_back(self, fleet):
+        # The read-your-write repro: an empty window gets cached, a
+        # sync write lands in it, and the re-read must recompute.
+        _, _, router = fleet
+        articles = make_articles()
+        window = _timeline_payload(
+            start=d("2021-03-11"), end=d("2021-03-20")
+        )
+        status, _, raw = _request(router.port, "POST", "/v1/timeline", window)
+        assert status == 200
+        before = json.loads(raw)
+        assert before["cache"] == "miss"
+        assert before["result"]["timeline"] == {}
+        status, _, raw = _request(
+            router.port, "POST", "/v1/ingest",
+            {
+                "articles": [
+                    wire_article(articles[4]), wire_article(articles[5]),
+                ],
+                "sync": True,
+            },
+        )
+        assert status == 200
+        assert json.loads(raw)["accepted"] == 2
+        status, _, raw = _request(router.port, "POST", "/v1/timeline", window)
+        assert status == 200
+        after = json.loads(raw)
+        assert after["cache"] == "miss"
+        assert "2021-03-13" in after["result"]["timeline"]
+        assert after["index_version"] > before["index_version"]
+
+    def test_a_seal_during_the_reduce_is_not_cached(
+        self, fleet, monkeypatch
+    ):
+        _, _, router = fleet
+        articles = make_articles()
+        window = _timeline_payload(
+            start=d("2021-03-11"), end=d("2021-03-20")
+        )
+        entered, release = threading.Event(), threading.Event()
+        summarize = router.wilson.summarize
+
+        def blocked_summarize(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=60)
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(router.wilson, "summarize", blocked_summarize)
+        stale = {}
+        reader = threading.Thread(
+            target=lambda: stale.update(
+                response=_request(
+                    router.port, "POST", "/v1/timeline", window
+                )
+            )
+        )
+        reader.start()
+        try:
+            # The read has merged its pre-write candidates and sits in
+            # the reduce while the write seals.
+            assert entered.wait(timeout=60)
+            status, _, _ = _request(
+                router.port, "POST", "/v1/ingest",
+                {
+                    "articles": [
+                        wire_article(articles[4]),
+                        wire_article(articles[5]),
+                    ],
+                    "sync": True,
+                },
+            )
+            assert status == 200
+        finally:
+            release.set()
+            reader.join(timeout=60)
+        status, _, raw = stale["response"]
+        assert status == 200
+        assert json.loads(raw)["result"]["timeline"] == {}
+        assert len(router.cache) == 0
+        status, _, raw = _request(router.port, "POST", "/v1/timeline", window)
+        assert status == 200
+        after = json.loads(raw)
+        assert after["cache"] == "miss"
+        assert "2021-03-13" in after["result"]["timeline"]
+
+    def test_a_lagging_replica_never_lowers_the_version_vector(
+        self, tmp_path
+    ):
+        # One slice, two replicas; only replica 1 sees a write, so the
+        # replicas sit at different versions.
+        base = RealTimeTimelineSystem()
+        base.ingest(make_articles()[:4])
+        topology = export_slices(
+            base.engine.index, tmp_path / "topology", 1
+        )
+        contexts, replicas, urls = [], [], []
+        for _ in range(2):
+            wilson = Wilson(WilsonConfig())
+            engine = SearchEngine.load_snapshot(
+                topology.shards[0].path, cache=wilson.cache
+            )
+            system = RealTimeTimelineSystem(
+                engine=engine, wilson=wilson, cache=wilson.cache
+            )
+            plane = IngestPlane(system)
+            context = BackgroundServer(
+                TimelineServer(
+                    system,
+                    ServeConfig(port=0, batch_window_ms=2.0),
+                    ingest=plane,
+                )
+            )
+            running = context.__enter__()
+            contexts.append(context)
+            replicas.append(system)
+            urls.append(f"http://127.0.0.1:{running.port}")
+        router_context = BackgroundServer(
+            TimelineRouter(
+                topology,
+                [urls],
+                config=RouterConfig(
+                    port=0, shard_timeout_seconds=30.0, hedge_enabled=False
+                ),
+                metrics=Metrics(),
+            )
+        )
+        router = router_context.__enter__()
+        contexts.append(router_context)
+        try:
+            status, _, _ = _request(
+                int(urls[1].rsplit(":", 1)[1]), "POST", "/v1/ingest",
+                {"articles": [wire_article(make_articles()[4])], "sync": True},
+            )
+            assert status == 200
+            lagging, leading = (system.index_version for system in replicas)
+            assert leading > lagging
+            # The /healthz sweep probes both replicas: the vector takes
+            # the leading one's version.
+            status, _, raw = _request(router.port, "GET", "/healthz")
+            assert json.loads(raw)["index_version"] == leading
+            # With the leading replica gone every read is served from
+            # the lagging one: answered, never cached, and the vector
+            # stays where it was.
+            contexts[1].__exit__(None, None, None)
+            window = _timeline_payload()
+            for _ in range(2):
+                status, _, raw = _request(
+                    router.port, "POST", "/v1/timeline", window
+                )
+                assert status == 200
+                envelope = json.loads(raw)
+                assert envelope["cache"] == "miss"
+                assert envelope["index_version"] == leading
+            assert len(router.cache) == 0
+        finally:
+            for context in reversed(contexts):
+                if context is not contexts[1]:
+                    context.__exit__(None, None, None)
 
     def test_router_answers_503_only_when_no_shard_accepts(
         self, tmp_path

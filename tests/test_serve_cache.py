@@ -163,12 +163,19 @@ class TestKeyNormalization:
         key1 = make_cache_key(["Flood", " relief "], start, end, 10, 1, 7)
         key2 = make_cache_key(["flood", "relief"], start, end, 10, 1, 7)
         assert key1 == key2
+        key1 = make_cache_key(["Flood"], start, end, 10, 1, (7, 3))
+        key2 = make_cache_key(["flood"], start, end, 10, 1, (7, 3))
+        assert key1 == key2
 
     def test_index_version_changes_key(self):
         start = datetime.date(2021, 1, 1)
         end = datetime.date(2021, 2, 1)
         key1 = make_cache_key(["flood"], start, end, 10, 1, 7)
         key2 = make_cache_key(["flood"], start, end, 10, 1, 8)
+        assert key1 != key2
+        # A per-shard version vector: a bump on any one shard re-keys.
+        key1 = make_cache_key(["flood"], start, end, 10, 1, (7, 3))
+        key2 = make_cache_key(["flood"], start, end, 10, 1, (7, 4))
         assert key1 != key2
 
     def test_every_parameter_participates(self):
@@ -185,6 +192,7 @@ class TestKeyNormalization:
         assert make_cache_key(["flood"], start, end, 9, 1, 7) != base
         assert make_cache_key(["flood"], start, end, 10, 2, 7) != base
         assert make_cache_key(["flood"], None, end, 10, 1, 7) != base
+        assert make_cache_key(["flood"], start, end, 10, 1, (7,)) != base
 
 
 # -- hypothesis properties -----------------------------------------------------

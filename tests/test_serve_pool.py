@@ -124,17 +124,6 @@ class TestKeepAliveReuse:
 
         run(_with_server(test))
 
-    def test_unpooled_requests_open_per_call(self):
-        async def test(server):
-            for _ in range(2):
-                status, _, _ = await request(
-                    "127.0.0.1", server.port, "GET", "/x"
-                )
-                assert status == 200
-            assert server.connections == 2
-
-        run(_with_server(test))
-
     def test_idle_bound_closes_excess_connections(self):
         async def test(server):
             metrics = Metrics()
