@@ -4,20 +4,23 @@ Three claims about the ``wilson.snapshot/v2`` mmap serving tier
 (:mod:`repro.search.snapshot`, :mod:`repro.search.mapped`):
 
 1. **Boot (opt-in, ``BENCH_ASSERT=1``)**: booting a serve process to its
-   first ``/healthz`` 200 from a v2 snapshot in ``mmap`` mode is >= 3x
-   faster than the v1 copy path -- mapping sections is O(page-fault)
-   while the copy path parses the npz payload and rebuilds every
-   postings dict.
+   first ``/healthz`` 200 from a snapshot in ``mmap`` mode is >= 3x
+   faster than in ``copy`` mode -- mapping sections is O(page-fault)
+   while copying verifies every section and rebuilds every postings
+   dict. Neither boot seeds a token cache, so this is the index alone;
+   ``bench_cold_path.py`` times the full ``serve --snapshot`` restore.
 2. **Fleet memory (opt-in, ``BENCH_ASSERT=1``)**: 4 workers mapping the
-   same v2 snapshot add at most 1.5x the *unique* index memory of a
+   same snapshot add at most 1.5x the *unique* index memory of a
    single worker. Per-worker deltas come from
    ``/proc/self/smaps_rollup`` (private + shared split) with the whole
    fleet holding its mappings concurrently, so shared pages are
-   attributed once; the copy-path fleet is measured alongside for the
-   contrast (it scales ~linearly with worker count).
+   attributed once; the copy-mode fleet is measured alongside for the
+   contrast (it scales ~linearly with worker count). Workers load
+   without a token cache: this measures the index, not the private
+   cache a serving worker seeds on top.
 3. **Byte identity (always on)**: the served timeline and search
-   results are identical -- same canonical JSON bytes -- across
-   {v1 copy, v2 copy, v2 mmap} loads of the same index.
+   results are identical -- same canonical JSON bytes -- across the
+   source index and its copy and mmap loads.
 
 Scale knob: ``WILSON_BENCH_MMAP_SCALE`` (default 0.3).
 ``--json-out DIR`` writes ``BENCH_mmap_boot.json``.
@@ -184,17 +187,14 @@ def test_mmap_boot(benchmark, capsys, json_out, tmp_path):
     ).instances[0]
     engine = SearchEngine()
     engine.add_articles(instance.corpus.articles)
-    v1_path = tmp_path / "index.v1.snap"
-    v2_path = tmp_path / "index.v2.snap"
-    engine.save_snapshot(v1_path, snapshot_format="v1")
-    engine.save_snapshot(v2_path, snapshot_format="v2")
+    path = tmp_path / "index.snap"
+    engine.save_snapshot(path)
 
-    # Always-on: identical served bytes across formats and load modes.
+    # Always-on: identical served bytes across load modes.
     baseline_bytes = _served_bytes(engine, instance)
     loads = {
-        "v1_copy": SearchEngine.load_snapshot(v1_path, mode="copy"),
-        "v2_copy": SearchEngine.load_snapshot(v2_path, mode="copy"),
-        "v2_mmap": SearchEngine.load_snapshot(v2_path, mode="mmap"),
+        "v2_copy": SearchEngine.load_snapshot(path, mode="copy"),
+        "v2_mmap": SearchEngine.load_snapshot(path, mode="mmap"),
     }
     for label, loaded in loads.items():
         assert _served_bytes(loaded, instance) == baseline_bytes, (
@@ -203,12 +203,11 @@ def test_mmap_boot(benchmark, capsys, json_out, tmp_path):
 
     def measure():
         boots = {
-            "v1_copy": _best_boot(v1_path, "copy"),
-            "v2_copy": _best_boot(v2_path, "copy"),
-            "v2_mmap": _best_boot(v2_path, "mmap"),
+            "v2_copy": _best_boot(path, "copy"),
+            "v2_mmap": _best_boot(path, "mmap"),
         }
         fleets = {}
-        for mode, path in (("copy", v1_path), ("mmap", v2_path)):
+        for mode in ("copy", "mmap"):
             for workers in FLEET_SIZES:
                 fleets[(mode, workers)] = _fleet_unique_bytes(
                     path, mode, workers
@@ -216,18 +215,18 @@ def test_mmap_boot(benchmark, capsys, json_out, tmp_path):
         return boots, fleets
 
     boots, fleets = benchmark.pedantic(measure, rounds=1, iterations=1)
-    boot_speedup = boots["v1_copy"] / max(boots["v2_mmap"], 1e-9)
+    boot_speedup = boots["v2_copy"] / max(boots["v2_mmap"], 1e-9)
     rss_ratio_mmap = fleets[("mmap", 4)] / max(fleets[("mmap", 1)], 1)
     rss_ratio_copy = fleets[("copy", 4)] / max(fleets[("copy", 1)], 1)
 
     mib = 1024 * 1024
     emit(
         "mmap_boot",
-        ["metric", "v1 copy", "v2 mmap"],
+        ["metric", "copy", "mmap"],
         [
             [
                 "boot to first 200",
-                f"{boots['v1_copy'] * 1e3:.1f}ms",
+                f"{boots['v2_copy'] * 1e3:.1f}ms",
                 f"{boots['v2_mmap'] * 1e3:.1f}ms",
             ],
             ["boot speedup", "-", f"{boot_speedup:.1f}x"],
@@ -251,9 +250,7 @@ def test_mmap_boot(benchmark, capsys, json_out, tmp_path):
         ),
         capsys=capsys,
         notes=[
-            f"host cpus: {os.cpu_count()}; boot best-of-3 to /healthz; "
-            "v2 copy boot "
-            f"{boots['v2_copy'] * 1e3:.1f}ms",
+            f"host cpus: {os.cpu_count()}; boot best-of-3 to /healthz",
             "unique RSS = sum of private smaps deltas + shared delta "
             "counted once, fleet mapped concurrently",
         ],
@@ -263,7 +260,6 @@ def test_mmap_boot(benchmark, capsys, json_out, tmp_path):
         {
             "documents": len(engine.index),
             "scale": MMAP_SCALE,
-            "v1_copy_boot_seconds": boots["v1_copy"],
             "v2_copy_boot_seconds": boots["v2_copy"],
             "v2_mmap_boot_seconds": boots["v2_mmap"],
             "mmap_boot_speedup": boot_speedup,
@@ -279,8 +275,8 @@ def test_mmap_boot(benchmark, capsys, json_out, tmp_path):
 
     assert_if_opted_in(
         boot_speedup >= 3.0,
-        f"expected v2 mmap boot >= 3x faster than v1 copy, got "
-        f"v1={boots['v1_copy'] * 1e3:.1f}ms "
+        f"expected mmap boot >= 3x faster than copy, got "
+        f"copy={boots['v2_copy'] * 1e3:.1f}ms "
         f"mmap={boots['v2_mmap'] * 1e3:.1f}ms ({boot_speedup:.1f}x)",
         capsys,
     )

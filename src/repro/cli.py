@@ -12,8 +12,9 @@ Subcommands:
   synthetic fallback): ``POST /v1/timeline``, ``GET /v1/search``,
   ``GET /healthz``, ``GET /metrics``; admission control, micro-batching
   and a versioned result cache per ``docs/serving.md``; with
-  ``--snapshot PATH`` the index boots from a binary snapshot in O(read)
-  (a corrupt snapshot logs a warning and falls back to re-indexing);
+  ``--snapshot PATH`` the index boots by mapping a binary snapshot
+  zero-copy (a corrupt snapshot logs a warning and falls back to
+  re-indexing);
   with ``--shards N`` the corpus is partitioned into N date-range
   slices, ``--replicas R`` worker processes boot per slice, and a
   scatter-gather router with health-based replica failover serves the
@@ -22,13 +23,12 @@ Subcommands:
   topology directory and already-running workers (``--endpoint`` per
   worker, shard-major replica order);
 * ``snapshot`` -- build a binary index snapshot (see
-  :mod:`repro.search.snapshot`) from a corpus file, a saved JSONL index
-  (``--from-index``), or the synthetic demo corpus; ``--shards N``
-  writes a topology directory of N slice snapshots plus manifest
-  instead of one file;
-* ``index-info`` -- print a saved index's vital signs (documents,
-  vocabulary, date span, ``index_version``, snapshot format version,
-  shard-slice metadata when present) for either on-disk format;
+  :mod:`repro.search.snapshot`) from a corpus file or the synthetic demo
+  corpus; ``--shards N`` writes a topology directory of N slice
+  snapshots plus manifest instead of one file;
+* ``index-info`` -- print a snapshot's vital signs (documents,
+  vocabulary, date span, ``index_version``, format version, shard-slice
+  metadata when present) from its header alone;
 * ``evaluate`` -- score a method on a dataset (a directory written by
   :func:`repro.tlsdata.loaders.save_dataset`, or the synthetic
   ``timeline17`` / ``crisis`` presets);
@@ -309,11 +309,12 @@ def _cmd_serve_query(args: argparse.Namespace) -> int:
 def _build_serve_system(args: argparse.Namespace, metrics) -> tuple:
     """The serve boot path: ``(system, indexed_sentences, source)``.
 
-    Snapshot-first when ``--snapshot`` was given: the index (and the
-    shared analyzer cache) restore in O(read), the ``snapshot.*`` boot
-    gauges are set, and any :class:`~repro.search.snapshot.SnapshotError`
-    falls back to the corpus/synthetic ingest path with a warning --
-    serve boot never crashes on a bad snapshot file.
+    Snapshot-first when ``--snapshot`` was given: the index is mapped
+    zero-copy and the shared analyzer cache seeded from it, the
+    ``snapshot.*`` boot gauges are set, and any
+    :class:`~repro.search.snapshot.SnapshotError` falls back to the
+    corpus/synthetic ingest path with a warning -- serve boot never
+    crashes on a bad snapshot file.
 
     Factored out of :func:`_cmd_serve` so tests can exercise the
     fallback without binding a socket.
@@ -329,13 +330,15 @@ def _build_serve_system(args: argparse.Namespace, metrics) -> tuple:
     snapshot_path = getattr(args, "snapshot", None)
     if snapshot_path is not None:
         from repro.search.engine import SearchEngine
-        from repro.search.snapshot import SnapshotError, snapshot_info
+        from repro.search.snapshot import (
+            SNAPSHOT_FORMAT_VERSION_V2,
+            SnapshotError,
+        )
 
-        snapshot_mode = getattr(args, "snapshot_mode", "mmap")
         try:
             started = time.perf_counter()
             engine = SearchEngine.load_snapshot(
-                snapshot_path, cache=wilson.cache, mode=snapshot_mode
+                snapshot_path, cache=wilson.cache, mode="mmap"
             )
             load_seconds = time.perf_counter() - started
         except SnapshotError as exc:
@@ -347,22 +350,19 @@ def _build_serve_system(args: argparse.Namespace, metrics) -> tuple:
                 flush=True,
             )
         else:
-            info = snapshot_info(snapshot_path)
             metrics.gauge("snapshot.load_seconds").set(load_seconds)
             metrics.gauge("snapshot.documents").set(len(engine.index))
             metrics.gauge("snapshot.vocabulary_terms").set(
                 engine.index.vocabulary_size()
             )
             metrics.gauge("snapshot.format_version").set(
-                int(info["format_version"])
+                SNAPSHOT_FORMAT_VERSION_V2
             )
-            # Zero for copy-mode loads and v1 snapshots; non-zero only
-            # when the index actually serves from mapped pages.
             metrics.gauge("snapshot.mmap_sections").set(
-                int(getattr(engine.index, "mapped_sections", 0))
+                engine.index.mapped_sections
             )
             metrics.gauge("snapshot.mmap_bytes").set(
-                int(getattr(engine.index, "mapped_bytes", 0))
+                engine.index.mapped_bytes
             )
             system = RealTimeTimelineSystem(
                 engine=engine, wilson=wilson, cache=wilson.cache
@@ -645,37 +645,24 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.search.engine import SearchEngine
     from repro.search.snapshot import snapshot_info
 
-    if args.from_index is not None:
-        if args.corpus is not None:
-            print(
-                "error: pass either a corpus file or --from-index, not both",
-                file=sys.stderr,
-            )
-            return 2
-        engine = SearchEngine.load(args.from_index)
-        source = f"index {args.from_index}"
+    engine = SearchEngine()
+    if args.corpus is not None:
+        corpus = load_corpus(args.corpus)
+        source = f"corpus {args.corpus}"
     else:
-        engine = SearchEngine()
-        if args.corpus is not None:
-            corpus = load_corpus(args.corpus)
-            source = f"corpus {args.corpus}"
-        else:
-            from repro.tlsdata.synthetic import make_timeline17_like
+        from repro.tlsdata.synthetic import make_timeline17_like
 
-            corpus = (
-                make_timeline17_like(scale=args.scale, seed=args.seed)
-                .instances[0]
-                .corpus
-            )
-            source = "synthetic corpus"
-        engine.add_articles(corpus.articles)
+        corpus = (
+            make_timeline17_like(scale=args.scale, seed=args.seed)
+            .instances[0]
+            .corpus
+        )
+        source = "synthetic corpus"
+    engine.add_articles(corpus.articles)
     if args.shards > 1:
         from repro.serve.topology import export_slices
 
-        topology = export_slices(
-            engine.index, args.out, args.shards,
-            snapshot_format=args.format,
-        )
+        topology = export_slices(engine.index, args.out, args.shards)
         print(
             f"wrote {args.out}: {topology.num_shards} shards, "
             f"{topology.total_documents} documents, index_version "
@@ -684,7 +671,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         for shard in topology.shards:
             print(f"  {shard.describe()}")
         return 0
-    engine.save_snapshot(args.out, snapshot_format=args.format)
+    engine.save_snapshot(args.out)
     info = snapshot_info(args.out)
     print(
         f"wrote {args.out}: {info['documents']} documents, "
@@ -699,41 +686,14 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
 
     try:
         info = snapshot_info(args.path)
-    except SnapshotError:
-        # Not a snapshot -- fall back to the JSONL index format (which
-        # requires a full load; the snapshot header is O(1) by design).
-        from repro.search.engine import SearchEngine
-
-        engine = SearchEngine.load(args.path)
-        index = engine.index
-        dates = index.dates()
-        info = {
-            "format": "wilson.index/v1 (JSONL)",
-            "documents": len(index),
-            "vocabulary": index.vocabulary_size(),
-            "articles": engine.num_articles,
-            "date_span": (
-                [dates[0].isoformat(), dates[-1].isoformat()]
-                if dates
-                else None
-            ),
-            "index_version": index.index_version,
-        }
-    else:
-        info = {
-            "format": (
-                f"{info['meta']} "
-                f"(binary, format_version {info['format_version']})"
-            ),
-            "documents": info["documents"],
-            "vocabulary": info["vocabulary"],
-            "articles": info["articles"],
-            "date_span": info["date_span"],
-            "index_version": info["index_version"],
-            "slice": info.get("slice"),
-        }
+    except SnapshotError as exc:
+        print(f"error: {args.path}: {exc}", file=sys.stderr)
+        return 2
     span = info["date_span"]
-    print(f"format:        {info['format']}")
+    print(
+        f"format:        {info['meta']} "
+        f"(binary, format_version {info['format_version']})"
+    )
     print(f"documents:     {info['documents']}")
     print(f"vocabulary:    {info['vocabulary']} terms")
     print(f"articles:      {info['articles']}")
@@ -1049,15 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
              "and falls back to re-indexing the corpus",
     )
     server.add_argument(
-        "--snapshot-mode",
-        choices=("copy", "mmap"),
-        default="mmap",
-        help="how --snapshot restores the index: 'mmap' serves a v2 "
-             "snapshot zero-copy from shared read-only pages (v1 files "
-             "fall back to copying), 'copy' always rebuilds in private "
-             "memory (default %(default)s)",
-    )
-    server.add_argument(
         "--ingest",
         action="store_true",
         help="attach a streaming ingest plane: POST /v1/ingest admits "
@@ -1161,17 +1112,11 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help="path to corpus.jsonl to index (omitted: the synthetic "
-             "demo corpus, or --from-index)",
+             "demo corpus)",
     )
     snapshot.add_argument(
         "--out", required=True, metavar="PATH",
         help="snapshot file to write",
-    )
-    snapshot.add_argument(
-        "--from-index",
-        default=None,
-        metavar="PATH",
-        help="convert a saved JSONL index instead of indexing a corpus",
     )
     snapshot.add_argument(
         "--scale", type=float, default=0.05,
@@ -1184,23 +1129,13 @@ def build_parser() -> argparse.ArgumentParser:
              "snapshots plus topology.json at --out instead of one "
              "snapshot file (default 1)",
     )
-    snapshot.add_argument(
-        "--format",
-        choices=("v1", "v2"),
-        default="v1",
-        help="on-disk layout: 'v1' (npz payload) or 'v2' (page-aligned "
-             "sections that 'serve --snapshot-mode mmap' maps zero-copy)"
-             " (default %(default)s)",
-    )
     snapshot.set_defaults(func=_cmd_snapshot)
 
     index_info = sub.add_parser(
         "index-info",
-        help="print a saved index's vital signs (either format)",
+        help="print a snapshot's vital signs from its header",
     )
-    index_info.add_argument(
-        "path", help="a binary snapshot or JSONL index file"
-    )
+    index_info.add_argument("path", help="a binary snapshot file")
     index_info.add_argument(
         "--segments",
         default=None,

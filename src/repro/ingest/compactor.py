@@ -29,7 +29,6 @@ snapshot -- contains their documents.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import time
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ import threading
 from repro.ingest.live import LiveIndex
 from repro.ingest.segment import Segment
 from repro.search.index import InvertedIndex
+from repro.search.snapshot import save_snapshot
 
 PathLike = Union[str, pathlib.Path]
 
@@ -56,22 +56,6 @@ class CompactionReport:
     snapshot_path: Optional[pathlib.Path] = None
 
 
-def _save_snapshot_atomic(
-    index: InvertedIndex, path: pathlib.Path, snapshot_format: str
-) -> None:
-    """Write a snapshot via a temp file + rename, never a torn target.
-
-    The target may be the recovery snapshot that durably covers
-    already-unlinked segment files: overwriting it in place would make
-    a crash mid-write lose those writes permanently.
-    """
-    from repro.search.snapshot import save_snapshot
-
-    tmp = path.with_name(path.name + ".tmp")
-    save_snapshot(index, tmp, snapshot_format=snapshot_format)
-    os.replace(tmp, path)
-
-
 class Compactor:
     """Folds a :class:`LiveIndex`'s segments into a fresh base."""
 
@@ -84,18 +68,15 @@ class Compactor:
         self._uncovered: List[Segment] = []
 
     def compact(
-        self,
-        snapshot_path: Optional[PathLike] = None,
-        snapshot_format: str = "v2",
+        self, snapshot_path: Optional[PathLike] = None
     ) -> CompactionReport:
         """Fold every currently sealed segment into a new base index.
 
         With *snapshot_path* the compacted index is also persisted as a
-        ``wilson.snapshot`` of *snapshot_format* -- the file a restarted
-        worker boots from without replaying any segment -- and the
-        folded segments' files (plus any kept by earlier snapshot-less
-        compactions) are unlinked, since the snapshot now durably
-        covers them. Without one, persisted segment files are **kept**:
+        snapshot -- the file a restarted worker boots from without
+        replaying any segment -- and the folded segments' files (plus
+        any kept by earlier snapshot-less compactions) are unlinked,
+        since the snapshot now durably covers them. Without one, persisted segment files are **kept**:
         the in-memory fold alone is not durable, and deleting them
         would silently lose acknowledged writes on the next restart.
         Returns a :class:`CompactionReport`; folding zero segments is a
@@ -141,9 +122,7 @@ class Compactor:
             written: Optional[pathlib.Path] = None
             if snapshot_path is not None:
                 written = pathlib.Path(snapshot_path)
-                _save_snapshot_atomic(
-                    compacted, written, snapshot_format
-                )
+                save_snapshot(compacted, written)
             persisted = [s for s in segments if s.path is not None]
             reclaimed = 0
             if written is not None:

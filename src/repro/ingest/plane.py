@@ -361,9 +361,7 @@ class IngestPlane:
     # -- compaction ---------------------------------------------------------
 
     def compact(
-        self,
-        snapshot_path: Optional[PathLike] = None,
-        snapshot_format: str = "v2",
+        self, snapshot_path: Optional[PathLike] = None
     ) -> CompactionReport:
         """Fold sealed segments into a fresh base (off the hot path).
 
@@ -381,14 +379,15 @@ class IngestPlane:
         if self._segments_dir is not None:
             recovery = self._segments_dir / COMPACTED_SNAPSHOT_NAME
             target = recovery
-        report = self.compactor.compact(
-            snapshot_path=target, snapshot_format=snapshot_format
-        )
+        report = self.compactor.compact(snapshot_path=target)
         if recovery is not None and snapshot_path is not None:
             import dataclasses
             import shutil
 
-            shutil.copyfile(recovery, snapshot_path)
+            from repro.search.snapshot import replacing
+
+            with replacing(snapshot_path) as tmp:
+                shutil.copyfile(recovery, tmp)
             report = dataclasses.replace(
                 report, snapshot_path=pathlib.Path(snapshot_path)
             )

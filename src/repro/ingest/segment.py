@@ -258,7 +258,7 @@ def segment_info(path: PathLike) -> dict:
     try:
         with pathlib.Path(path).open("rb") as handle:
             return _read_header(
-                handle, magics={SEGMENT_MAGIC: SEGMENT_FORMAT_VERSION}
+                handle, SEGMENT_MAGIC, SEGMENT_FORMAT_VERSION
             )[0]
     except OSError as exc:
         raise SnapshotError(f"cannot read segment: {exc}") from exc

@@ -11,8 +11,10 @@ provides the same contract in-process:
 * :mod:`repro.search.engine` -- the high-level :class:`SearchEngine`;
 * :mod:`repro.search.realtime` -- :class:`RealTimeTimelineSystem`, the
   query-to-timeline pipeline of Figure 7;
-* :mod:`repro.search.snapshot` -- binary index snapshots for O(read)
-  cold starts (checksummed ``.npz`` payload, JSONL stays the fallback).
+* :mod:`repro.search.snapshot` -- the index's one on-disk form, the
+  page-aligned ``wilson.snapshot/v2`` file with per-section checksums:
+  mapped zero-copy for serving (through :mod:`repro.search.mapped`) or
+  copied into a mutable index.
 """
 
 from repro.search.engine import SearchEngine

@@ -113,35 +113,9 @@ class SearchEngine:
 
     # -- persistence ----------------------------------------------------------
 
-    def save(self, path) -> None:
-        """Persist the indexed sentences as JSONL (see InvertedIndex.save)."""
-        self.index.save(path)
-
-    @classmethod
-    def load(
-        cls,
-        path,
-        tagger: Optional[TemporalTagger] = None,
-        bm25_params: BM25Parameters = BM25Parameters(),
-        cache: Optional[TokenCache] = None,
-    ) -> "SearchEngine":
-        """Restore an engine from a saved index.
-
-        The article counter reflects the distinct article ids found in
-        the restored documents.
-        """
-        engine = cls(tagger=tagger, bm25_params=bm25_params, cache=cache)
-        engine.index = InvertedIndex.load(path, cache=cache)
-        engine._num_articles = _distinct_articles(engine.index)
-        return engine
-
-    def save_snapshot(self, path, snapshot_format: str = "v1") -> None:
-        """Persist the index as a binary snapshot (O(read) restore).
-
-        *snapshot_format* selects ``"v1"`` or ``"v2"`` (the page-aligned
-        layout that :meth:`load_snapshot` can map zero-copy).
-        """
-        self.index.save_snapshot(path, snapshot_format=snapshot_format)
+    def save_snapshot(self, path) -> None:
+        """Persist the index as a binary snapshot (O(read) restore)."""
+        self.index.save_snapshot(path)
 
     @classmethod
     def load_snapshot(
@@ -156,12 +130,11 @@ class SearchEngine:
         """Restore an engine from a binary snapshot (see
         :mod:`repro.search.snapshot`).
 
-        ``mode="mmap"`` serves a v2 snapshot zero-copy from shared
-        read-only pages (v1 falls back to the copy path); ``verify=True``
-        checks section checksums eagerly. Raises
-        :class:`repro.search.snapshot.SnapshotError` when the file is
-        corrupt or incompatible; callers can fall back to :meth:`load`
-        on the JSONL index.
+        ``mode="copy"`` rebuilds a mutable index (new articles can be
+        added); ``mode="mmap"`` serves the snapshot zero-copy from
+        shared read-only pages; ``verify=True`` checks section checksums
+        eagerly. Raises :class:`repro.search.snapshot.SnapshotError`
+        when the file is missing, corrupt or incompatible.
         """
         from repro.search.snapshot import snapshot_info
 

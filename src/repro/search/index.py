@@ -9,14 +9,14 @@ engine"); BM25 statistics (document frequencies, average length) update
 incrementally.
 
 Postings are *positional* (``token -> {doc_id: [positions]}``), which the
-query layer uses for exact phrase matching, and the whole index can be
-persisted to / restored from JSONL.
+query layer uses for exact phrase matching. The index persists as a
+binary snapshot (:meth:`InvertedIndex.save_snapshot`, see
+:mod:`repro.search.snapshot`).
 """
 
 from __future__ import annotations
 
 import datetime
-import json
 import pathlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Union
@@ -66,9 +66,9 @@ class InvertedIndex:
 
         Result caches key on it: any write makes previously cached
         query results stale, and a version mismatch is exactly how they
-        find out (see :mod:`repro.serve.cache`). Persisted through
-        :meth:`save` / :meth:`load`, so a restored index never reuses a
-        version an earlier incarnation already handed out.
+        find out (see :mod:`repro.serve.cache`). Persisted in the
+        snapshot header, so a restored index never reuses a version an
+        earlier incarnation already handed out.
         """
         return self._version
 
@@ -77,8 +77,7 @@ class InvertedIndex:
 
         Compaction (:mod:`repro.ingest.compactor`) replays documents
         into a fresh index and then restores the live revision so cache
-        keys minted against the overlay stay comparable -- the same
-        never-go-backwards rule :meth:`load` applies to saved versions.
+        keys minted against the overlay stay comparable.
         """
         self._version = max(self._version, int(version))
 
@@ -279,102 +278,18 @@ class InvertedIndex:
 
     # -- persistence ----------------------------------------------------------
 
-    def save(self, path: PathLike) -> None:
-        """Persist the index as JSONL (one document per line).
-
-        Postings are rebuilt on load, so the on-disk format stays simple
-        and forward-compatible: only the documents are stored, preceded
-        by one meta line carrying the content revision
-        (:attr:`index_version`) so restored indexes keep a correct cache
-        invalidation key.
-        """
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "meta": "wilson.index/v1",
-                        "index_version": self._version,
-                    }
-                )
-                + "\n"
-            )
-            for doc_id in range(len(self)):
-                document = self.document(doc_id)
-                handle.write(
-                    json.dumps(
-                        {
-                            "text": document.text,
-                            "date": document.date.isoformat(),
-                            "publication_date": (
-                                document.publication_date.isoformat()
-                            ),
-                            "article_id": document.article_id,
-                            "is_reference": document.is_reference,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-
-    @classmethod
-    def load(
-        cls, path: PathLike, cache: Optional[TokenCache] = None
-    ) -> "InvertedIndex":
-        """Restore an index written by :meth:`save`.
-
-        Accepts both the current format (leading meta line) and the
-        pre-version plain-JSONL format; without a meta line the restored
-        :attr:`index_version` is simply the number of re-inserted
-        documents.
-        """
-        index = cls(cache=cache)
-        saved_version: Optional[int] = None
-        with pathlib.Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                if "meta" in data and "text" not in data:
-                    saved_version = int(data.get("index_version", 0))
-                    continue
-                index.add(
-                    data["text"],
-                    date=datetime.date.fromisoformat(data["date"]),
-                    publication_date=datetime.date.fromisoformat(
-                        data["publication_date"]
-                    ),
-                    article_id=data.get("article_id", ""),
-                    is_reference=data.get("is_reference", False),
-                )
-        if saved_version is not None:
-            # Re-inserting bumped the version once per document; restore
-            # the saved revision (never going backwards) so cache keys
-            # minted against the original index stay comparable. This
-            # also covers an empty index saved with a non-zero version:
-            # zero documents follow the meta line, and the saved
-            # revision still wins over the re-insert count of 0.
-            index._version = max(index._version, saved_version)
-        return index
-
-    def save_snapshot(
-        self, path: PathLike, snapshot_format: str = "v1"
-    ) -> None:
+    def save_snapshot(self, path: PathLike) -> None:
         """Persist the index as a binary snapshot (see
         :mod:`repro.search.snapshot`).
 
-        Unlike :meth:`save`, the snapshot carries the derived state --
-        postings, token-id arrays, vocabulary -- so
-        :meth:`load_snapshot` restores in O(read) with zero
-        re-tokenisation. *snapshot_format* selects ``"v1"`` (the npz
-        payload) or ``"v2"`` (page-aligned raw sections that
-        :meth:`load_snapshot` can map zero-copy with ``mode="mmap"``).
+        The snapshot carries the derived state -- postings, token-id
+        arrays, vocabulary -- so :meth:`load_snapshot` restores in
+        O(read) with zero re-tokenisation, or maps it zero-copy with
+        ``mode="mmap"``.
         """
         from repro.search.snapshot import save_snapshot
 
-        save_snapshot(self, path, snapshot_format=snapshot_format)
+        save_snapshot(self, path)
 
     @classmethod
     def load_snapshot(
@@ -386,13 +301,12 @@ class InvertedIndex:
     ) -> "InvertedIndex":
         """Restore an index written by :meth:`save_snapshot`.
 
-        The snapshot format is auto-detected. ``mode="mmap"`` maps a v2
-        snapshot's sections as shared read-only pages instead of copying
-        (v1 snapshots fall back to the copy path); ``verify=True``
-        checks every section checksum eagerly instead of lazily on first
-        access. Raises :class:`repro.search.snapshot.SnapshotError` on a
-        missing, corrupt, or incompatible file -- callers decide whether
-        to fall back to :meth:`load`.
+        ``mode="copy"`` rebuilds a mutable index; ``mode="mmap"`` maps
+        the snapshot's sections as shared read-only pages instead;
+        ``verify=True`` checks every section checksum eagerly instead of
+        lazily on first access. A given *cache* is seeded in either
+        mode. Raises :class:`repro.search.snapshot.SnapshotError` on a
+        missing, corrupt, or incompatible file.
         """
         from repro.search.snapshot import load_snapshot
 

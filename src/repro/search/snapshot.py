@@ -1,59 +1,52 @@
-"""Binary index snapshots: O(read) persistence for the serving cold path.
+"""Binary index snapshots: the one on-disk form of a search index.
 
-:meth:`InvertedIndex.load <repro.search.index.InvertedIndex.load>` replays
-every JSONL document through the analyzer -- a regex pass plus Porter
-stemming per token occurrence -- which makes process boot scale with
-corpus *text*, not corpus *bytes*. A snapshot instead serialises the
-index together with its derived state, so a restore is a single
-sequential read plus array slicing:
+A snapshot serialises an :class:`~repro.search.index.InvertedIndex`
+together with its derived state, so restoring it never re-tokenises:
 
 * distinct sentence texts (UTF-8 buffer + offsets) and, per document, a
   row into that table plus date ordinals / article row / reference flag;
 * the vocabulary (postings insertion order) and one token-id array per
   distinct text -- exactly what a :class:`~repro.text.analysis.TokenCache`
-  would have computed, so the analyzer cache can be pre-seeded without
+  would have computed, so the analyzer cache is seeded without
   tokenising anything;
-* positional postings (per-token CSR entry ranges over doc ids, plus a
-  JSON blob of per-entry position lists that ``json.loads`` rebuilds in
-  C at restore time);
+* positional postings as CSR arrays (per-token entry ranges over doc
+  ids, per-entry position ranges), document lengths, and the doc ids
+  grouped by content date;
 * the monotonic ``index_version`` (the serve-cache invalidation key).
 
-Two on-disk layouts share the one-JSON-meta-line-first convention (magic,
-format version, ``index_version``, analyzer configuration, checksums):
+The layout is ``wilson.snapshot/v2``: one JSON meta line (magic, format
+version, ``index_version``, analyzer configuration and a per-section
+offset/dtype/shape/SHA-256 descriptor), then each numeric array as a raw
+little-endian **section** at a page-aligned offset. A snapshot loads two
+ways: ``mode="mmap"`` maps the file ``MAP_SHARED`` read-only and serves
+queries straight from the page cache through a
+:class:`repro.search.mapped.MappedSnapshotIndex` view -- no copy,
+O(page-fault) boot, and N worker processes share one physical copy of
+the index, with section checksums verified lazily on first access
+(eagerly with ``verify=True``); ``mode="copy"`` verifies every section
+and rebuilds a mutable dict-based index in private memory.
 
-* ``wilson.snapshot/v1`` -- the meta line is followed by the raw bytes of
-  an uncompressed ``.npz`` archive (whole-payload SHA-256 in the header).
-  Loading always copies: the archive is parsed and the classic dict-based
-  index is rebuilt.
-* ``wilson.snapshot/v2`` -- the meta line is followed by each numeric
-  array as a raw little-endian **section** at a page-aligned offset; the
-  header records every section's offset, dtype, shape and SHA-256. A v2
-  file can load two ways: ``mode="copy"`` rebuilds the classic index
-  (exactly like v1), while ``mode="mmap"`` maps the file ``MAP_SHARED``
-  read-only and serves queries straight from the page cache through a
-  :class:`repro.search.mapped.MappedSnapshotIndex` view -- no decompress,
-  no copy, O(page-fault) boot, and N worker processes share one physical
-  copy of the index. Section checksums are verified lazily on first
-  access (eagerly with ``verify=True``).
-
-Positions are a JSON blob in v1 and a flattened CSR pair in v2; both
-formats are auto-detected on load. Any mismatch, truncation or parse
-failure raises :class:`SnapshotError` so callers (the serve boot path in
-particular) can fall back to the JSONL index instead of crashing.
-
-Both formats are deliberately pickle-free: a corrupted or adversarial
-snapshot can fail to load, but it cannot execute code.
+Writes are atomic: the file is written under a temporary name next to
+its target and renamed over it, so a process that has the old file
+mapped keeps reading the old bytes. Any mismatch, truncation or parse
+failure raises :class:`SnapshotError`, so callers (the serve boot path
+in particular) can fall back to re-indexing the corpus instead of
+crashing. The format is deliberately pickle-free: a corrupted or
+adversarial snapshot can fail to load, but it cannot execute code.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import io
 import json
 import mmap
+import os
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import threading
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,16 +56,10 @@ from repro.text.tokenize import tokenize_for_matching
 
 PathLike = Union[str, pathlib.Path]
 
-#: Magic string on a v1 snapshot's meta line.
-SNAPSHOT_MAGIC = "wilson.snapshot/v1"
-
-#: Magic string on a v2 (page-aligned, mmap-able) snapshot's meta line.
+#: Magic string on a snapshot's meta line.
 SNAPSHOT_MAGIC_V2 = "wilson.snapshot/v2"
 
-#: Bumped whenever the v1 array layout changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 1
-
-#: Format version recorded by v2 snapshots.
+#: Format version a snapshot's meta line must declare.
 SNAPSHOT_FORMAT_VERSION_V2 = 2
 
 #: Upper bound on the meta line; a "header" larger than this is garbage.
@@ -82,10 +69,7 @@ _MAX_HEADER_BYTES = 65536
 #: section begins on its own OS page and mapped views are element-aligned.
 _SECTION_ALIGN = 4096
 
-#: Hash/read chunk size for streamed payload verification.
-_HASH_CHUNK = 1 << 20
-
-#: Every section a v2 snapshot must carry, with its expected dtype kind.
+#: Every section a snapshot carries, in file order, with its dtype.
 _V2_SECTIONS = (
     ("texts_buf", "|u1"),
     ("texts_indptr", "<i8"),
@@ -174,15 +158,14 @@ def _token_streams(
     return [tuple(tokenize_for_matching(text)) for text in distinct_texts]
 
 
-def _collect_state(
+def _collect_sections(
     index: InvertedIndex,
-) -> Tuple[Dict[str, np.ndarray], List[List[int]], Dict[str, object]]:
-    """Everything both snapshot writers need, computed once.
+) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
+    """Every section of *index*'s snapshot, plus its header fields.
 
-    Returns ``(arrays, position_lists, meta)`` where *arrays* holds every
-    shared numeric array keyed by its section name, *position_lists* the
-    per-posting-entry position lists (vocab order), and *meta* the
-    format-independent header fields.
+    Returns ``(sections, meta)``: *sections* maps each name of
+    :data:`_V2_SECTIONS`, in that order, to a contiguous array of the
+    declared dtype; *meta* holds the descriptive header fields.
     """
     distinct: Dict[str, int] = {}
     articles: Dict[str, int] = {}
@@ -231,16 +214,29 @@ def _collect_state(
             out=post_entry_indptr[1:],
         )
     post_doc_ids: List[int] = []
-    position_lists: List[List[int]] = []
+    post_tf: List[int] = []
+    flat_positions: List[int] = []
     for token in vocab:
         for doc_id, positions in postings.get(token, {}).items():
             post_doc_ids.append(doc_id)
-            position_lists.append(list(positions))
+            post_tf.append(len(positions))
+            flat_positions.extend(positions)
+    post_pos_indptr = np.zeros(len(post_tf) + 1, dtype=np.int64)
+    if post_tf:
+        np.cumsum(
+            np.asarray(post_tf, dtype=np.int64), out=post_pos_indptr[1:]
+        )
+
+    # Doc ids grouped by content date: a stable argsort of the per-doc
+    # date ordinals reproduces each date's insertion order exactly
+    # (documents are added in doc-id order).
+    date_unique, date_counts = np.unique(doc_dates, return_counts=True)
+    date_indptr = np.zeros(len(date_unique) + 1, dtype=np.int64)
+    np.cumsum(date_counts, out=date_indptr[1:])
 
     texts_buf, texts_indptr = _pack_strings(distinct_texts)
     articles_buf, articles_indptr = _pack_strings(list(articles))
     vocab_buf, vocab_indptr = _pack_strings(vocab)
-
     arrays = {
         "texts_buf": texts_buf,
         "texts_indptr": texts_indptr,
@@ -253,10 +249,21 @@ def _collect_state(
         "doc_dates": doc_dates,
         "doc_pub_dates": doc_pub_dates,
         "doc_is_reference": doc_is_reference,
-        "tok_ids": np.asarray(flat_ids, dtype=np.int32),
+        "doc_lengths": np.diff(tok_indptr)[doc_text_row],
+        "tok_ids": flat_ids,
         "tok_indptr": tok_indptr,
         "post_entry_indptr": post_entry_indptr,
-        "post_doc_ids": np.asarray(post_doc_ids, dtype=np.int64),
+        "post_doc_ids": post_doc_ids,
+        "post_tf": post_tf,
+        "post_pos_indptr": post_pos_indptr,
+        "post_positions": flat_positions,
+        "date_unique": date_unique,
+        "date_indptr": date_indptr,
+        "date_doc_ids": np.argsort(doc_dates, kind="stable"),
+    }
+    sections = {
+        name: np.ascontiguousarray(arrays[name], dtype=np.dtype(dtype))
+        for name, dtype in _V2_SECTIONS
     }
 
     if index.cache is not None:
@@ -275,57 +282,35 @@ def _collect_state(
         ),
         "analyzer": {"stem": stem, "drop_stopwords": drop_stopwords},
     }
-    return arrays, position_lists, meta
-
-
-def _derived_v2_arrays(
-    arrays: Dict[str, np.ndarray], position_lists: List[List[int]]
-) -> Dict[str, np.ndarray]:
-    """The extra v2 sections: CSR positions, doc lengths, date grouping."""
-    pos_indptr = np.zeros(len(position_lists) + 1, dtype=np.int64)
-    if position_lists:
-        np.cumsum(
-            np.fromiter(
-                (len(p) for p in position_lists),
-                dtype=np.int64,
-                count=len(position_lists),
-            ),
-            out=pos_indptr[1:],
-        )
-    flat_positions = (
-        np.concatenate(
-            [np.asarray(p, dtype=np.int32) for p in position_lists]
-        )
-        if pos_indptr[-1]
-        else np.zeros(0, dtype=np.int32)
-    )
-    post_tf = np.diff(pos_indptr).astype(np.int32)
-
-    token_lengths = np.diff(arrays["tok_indptr"])
-    doc_lengths = token_lengths[arrays["doc_text_row"]].astype(np.int64)
-
-    # Doc ids grouped by content date: a stable argsort of the per-doc
-    # date ordinals reproduces each date's insertion order exactly
-    # (documents are added in doc-id order).
-    doc_dates = arrays["doc_dates"]
-    date_unique, date_counts = np.unique(doc_dates, return_counts=True)
-    date_indptr = np.zeros(len(date_unique) + 1, dtype=np.int64)
-    np.cumsum(date_counts, out=date_indptr[1:])
-    date_doc_ids = np.argsort(doc_dates, kind="stable").astype(np.int64)
-
-    return {
-        "doc_lengths": doc_lengths,
-        "post_tf": post_tf,
-        "post_pos_indptr": pos_indptr,
-        "post_positions": flat_positions,
-        "date_unique": date_unique.astype(np.int64),
-        "date_indptr": date_indptr,
-        "date_doc_ids": date_doc_ids,
-    }
+    return sections, meta
 
 
 def _align(offset: int) -> int:
     return -(-offset // _SECTION_ALIGN) * _SECTION_ALIGN
+
+
+@contextlib.contextmanager
+def replacing(path: PathLike) -> Iterator[pathlib.Path]:
+    """Yield a temporary sibling of *path*; rename it over *path* on success.
+
+    The rename is atomic: a reader that opened or mapped the old file
+    keeps reading the old bytes (its inode lives on until the last user
+    lets go), and a crash mid-write leaves the previous file intact. On
+    failure the temporary file is removed and *path* is untouched. The
+    temporary name starts with a dot and ends in ``.tmp``, so it never
+    matches a ``segment-*.seg`` listing.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_section_file(
@@ -343,8 +328,9 @@ def write_section_file(
     ``{offset, dtype, shape, sha256}`` descriptors, then each array at a
     :data:`_SECTION_ALIGN`-aligned offset. *arrays* is written in
     iteration order with dtypes taken as given -- callers prepare
-    contiguity and dtype; *meta* keys are merged into the header.
-    Returns the payload size in bytes.
+    contiguity and dtype; *meta* keys are merged into the header. The
+    file is written atomically (see :func:`replacing`). Returns the
+    payload size in bytes.
     """
     prepared = {
         name: np.ascontiguousarray(array)
@@ -383,9 +369,7 @@ def write_section_file(
     # byte offset.
     data_start = _align(len(header_line))
 
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as handle:
+    with replacing(path) as tmp, tmp.open("wb") as handle:
         handle.write(header_line)
         handle.write(b"\x00" * (data_start - len(header_line)))
         cursor = 0
@@ -413,9 +397,7 @@ def read_section_file(
     """
     try:
         with pathlib.Path(path).open("rb") as handle:
-            header, header_len = _read_header(
-                handle, magics={magic: format_version}
-            )
+            header, header_len = _read_header(handle, magic, format_version)
             sections = header.get("sections")
             if not isinstance(sections, dict):
                 raise SnapshotError(
@@ -457,7 +439,6 @@ def save_snapshot(
     index: InvertedIndex,
     path: PathLike,
     slice_meta: Optional[Dict[str, object]] = None,
-    snapshot_format: str = "v1",
 ) -> None:
     """Write *index* (documents, postings, analyzer state) to *path*.
 
@@ -465,89 +446,17 @@ def save_snapshot(
     ``"slice"`` key -- the topology layer uses it to mark a snapshot as
     shard *k* of *N* with its date range (see
     :mod:`repro.serve.topology`), and :func:`snapshot_info` surfaces it
-    without reading the payload so shard layouts print in O(1). Readers
-    that predate the key ignore it.
-
-    *snapshot_format* selects the on-disk layout: ``"v1"`` (npz payload,
-    the default) or ``"v2"`` (page-aligned raw sections, loadable
-    zero-copy with ``mode="mmap"``).
+    without reading the payload so shard layouts print in O(1).
     """
-    if snapshot_format not in ("v1", "v2"):
-        raise ValueError(
-            f"snapshot_format must be 'v1' or 'v2', got {snapshot_format!r}"
-        )
-    arrays, position_lists, meta = _collect_state(index)
-    if snapshot_format == "v2":
-        _write_v2(path, arrays, position_lists, meta, slice_meta)
-    else:
-        _write_v1(path, arrays, position_lists, meta, slice_meta)
-
-
-def _write_v1(
-    path: PathLike,
-    arrays: Dict[str, np.ndarray],
-    position_lists: List[List[int]],
-    meta: Dict[str, object],
-    slice_meta: Optional[Dict[str, object]],
-) -> None:
-    # Positions ride along as a JSON blob: json.loads rebuilds the
-    # nested per-entry lists entirely in C, several times faster than
-    # slicing a CSR pair back apart in Python.
-    positions_blob = json.dumps(
-        position_lists, separators=(",", ":")
-    ).encode("ascii")
-    payload_io = io.BytesIO()
-    np.savez(
-        payload_io,
-        post_positions_json=np.frombuffer(positions_blob, dtype=np.uint8),
-        **arrays,
-    )
-    payload = payload_io.getvalue()
-
-    header = {
-        "meta": SNAPSHOT_MAGIC,
-        "format_version": SNAPSHOT_FORMAT_VERSION,
-        "payload_bytes": len(payload),
-        "sha256": hashlib.sha256(payload).hexdigest(),
-        **meta,
-    }
+    sections, meta = _collect_sections(index)
     if slice_meta is not None:
-        header["slice"] = dict(slice_meta)
-
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        handle.write(b"\n")
-        handle.write(payload)
-
-
-def _write_v2(
-    path: PathLike,
-    arrays: Dict[str, np.ndarray],
-    position_lists: List[List[int]],
-    meta: Dict[str, object],
-    slice_meta: Optional[Dict[str, object]],
-) -> None:
-    sections = dict(arrays)
-    sections.update(_derived_v2_arrays(arrays, position_lists))
-
-    prepared: Dict[str, np.ndarray] = {}
-    for name, expected_dtype in _V2_SECTIONS:
-        array = np.ascontiguousarray(sections[name])
-        if array.dtype.str != expected_dtype:
-            array = array.astype(np.dtype(expected_dtype))
-        prepared[name] = array
-
-    header_meta = dict(meta)
-    if slice_meta is not None:
-        header_meta["slice"] = dict(slice_meta)
+        meta["slice"] = dict(slice_meta)
     write_section_file(
         path,
         SNAPSHOT_MAGIC_V2,
         SNAPSHOT_FORMAT_VERSION_V2,
-        prepared,
-        meta=header_meta,
+        sections,
+        meta=meta,
     )
 
 
@@ -555,19 +464,16 @@ def _write_v2(
 
 
 def _read_header(
-    handle, magics: Optional[Dict[str, int]] = None
+    handle,
+    magic: str = SNAPSHOT_MAGIC_V2,
+    format_version: int = SNAPSHOT_FORMAT_VERSION_V2,
 ) -> Tuple[Dict[str, object], int]:
     """Parse the meta line; returns ``(header, header_line_bytes)``.
 
-    *magics* maps accepted magic strings to their required
-    ``format_version``; the default accepts the two snapshot formats.
-    Section-file readers (:func:`read_section_file`) pass their own.
+    The header must carry *magic* and declare *format_version*; the
+    defaults accept a snapshot, and section-file readers
+    (:func:`read_section_file`) pass their own.
     """
-    if magics is None:
-        magics = {
-            SNAPSHOT_MAGIC: SNAPSHOT_FORMAT_VERSION,
-            SNAPSHOT_MAGIC_V2: SNAPSHOT_FORMAT_VERSION_V2,
-        }
     line = handle.readline(_MAX_HEADER_BYTES + 1)
     if len(line) > _MAX_HEADER_BYTES or not line.endswith(b"\n"):
         raise SnapshotError("snapshot header missing or oversized")
@@ -575,14 +481,13 @@ def _read_header(
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"snapshot header is not JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("meta") not in magics:
-        raise SnapshotError(f"not a {' or '.join(magics)} file")
-    expected_version = magics[header["meta"]]
-    if header.get("format_version") != expected_version:
+    if not isinstance(header, dict) or header.get("meta") != magic:
+        raise SnapshotError(f"not a {magic} file")
+    if header.get("format_version") != format_version:
         raise SnapshotError(
             "unsupported snapshot format_version "
             f"{header.get('format_version')!r} "
-            f"(a {header['meta']} file must declare {expected_version})"
+            f"(a {magic} file must declare {format_version})"
         )
     return header, len(line)
 
@@ -600,49 +505,8 @@ def snapshot_info(path: PathLike) -> Dict[str, object]:
         raise SnapshotError(f"cannot read snapshot: {exc}") from exc
 
 
-def _read_payload(path: PathLike) -> Tuple[Dict[str, object], bytearray]:
-    """Read a v1 payload, hashing it in chunks as it streams in."""
-    digester = hashlib.sha256()
-    try:
-        with pathlib.Path(path).open("rb") as handle:
-            header, _ = _read_header(handle)
-            expected_bytes = header.get("payload_bytes")
-            if not isinstance(expected_bytes, int) or expected_bytes < 0:
-                raise SnapshotError(
-                    "snapshot header carries no usable payload_bytes"
-                )
-            # One preallocated buffer, filled and hashed chunkwise: no
-            # second whole-payload pass, and a trailing-garbage or
-            # truncated file is caught against the declared size.
-            payload = bytearray(expected_bytes)
-            view = memoryview(payload)
-            filled = 0
-            while filled < expected_bytes:
-                read = handle.readinto(
-                    view[filled : filled + _HASH_CHUNK]
-                )
-                if not read:
-                    break
-                digester.update(view[filled : filled + read])
-                filled += read
-            trailing = len(handle.read(1))
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot: {exc}") from exc
-    if filled != expected_bytes or trailing:
-        found = filled + trailing
-        raise SnapshotError(
-            f"snapshot payload truncated: expected {expected_bytes} bytes, "
-            f"found {found}{'+' if trailing else ''}"
-        )
-    if digester.hexdigest() != header.get("sha256"):
-        raise SnapshotError("snapshot checksum mismatch (corrupt payload)")
-    # Returned as the bytearray it was read into -- BytesIO accepts it
-    # directly, so the payload is never duplicated after the read.
-    return header, payload
-
-
 class SectionTable:
-    """Read-only array views over a mapped v2 snapshot's sections.
+    """Read-only array views over a mapped snapshot's sections.
 
     Wraps one ``mmap.mmap`` (``MAP_SHARED``, ``PROT_READ``) of the
     snapshot file. :meth:`array` returns a zero-copy ``np.ndarray`` view
@@ -658,10 +522,6 @@ class SectionTable:
         try:
             with self.path.open("rb") as handle:
                 header, header_len = _read_header(handle)
-                if header["meta"] != SNAPSHOT_MAGIC_V2:
-                    raise SnapshotError(
-                        "only wilson.snapshot/v2 files can be mapped"
-                    )
                 handle.seek(0, io.SEEK_END)
                 file_size = handle.tell()
                 self._mm = mmap.mmap(
@@ -797,78 +657,49 @@ def load_snapshot(
 ) -> InvertedIndex:
     """Restore an :class:`InvertedIndex` written by :func:`save_snapshot`.
 
-    The snapshot format (v1 or v2) is auto-detected from the header.
-
-    *mode* selects the restore strategy for v2 snapshots: ``"copy"``
-    (default) rebuilds the classic dict-based index, ``"mmap"`` returns
-    a :class:`repro.search.mapped.MappedSnapshotIndex` whose numeric
-    state is served from shared read-only pages of the file itself --
-    no copy, and every section's checksum verified lazily on first use
-    (eagerly when *verify* is true). v1 snapshots always load via the
-    copy path, whatever *mode* says, so a fleet-wide ``--snapshot-mode
-    mmap`` default boots older snapshots too.
+    *mode* selects the restore strategy: ``"copy"`` (default) verifies
+    every section and rebuilds a mutable dict-based index in private
+    memory; ``"mmap"`` returns a read-only
+    :class:`repro.search.mapped.MappedSnapshotIndex` whose numeric state
+    is served from shared read-only pages of the file itself -- no copy,
+    and every section's checksum verified lazily on first use (eagerly
+    when *verify* is true).
 
     When *cache* is given its analyzer configuration must match the one
-    recorded in the snapshot (raises :class:`SnapshotError` otherwise);
-    on the copy path the cache is then pre-seeded with every distinct
-    text's token stream -- and, for a fresh cache, with the interned id
-    arrays and the full vocabulary -- so the first query pays zero
-    tokenisation. The mmap path skips pre-seeding by design (seeding
-    would re-materialise exactly the state mapping avoids); token
-    streams are recomputed lazily on demand instead.
+    recorded in the snapshot (raises :class:`SnapshotError` otherwise),
+    and either mode seeds it from the token-id sections: every distinct
+    text's token stream and -- for a fresh cache -- the interned id
+    arrays and the full vocabulary in snapshot order. Both modes thus
+    leave a cache that gives every token the same id, and neither the
+    first query nor re-slicing the index tokenises any indexed text.
     """
     if mode not in ("copy", "mmap"):
         raise ValueError(f"mode must be 'copy' or 'mmap', got {mode!r}")
-    header = snapshot_info(path)
-    if header["meta"] == SNAPSHOT_MAGIC_V2:
-        if mode == "mmap":
-            return _load_v2_mapped(path, cache=cache, verify=verify)
-        return _load_v2_copy(path, cache=cache)
-    return _load_v1(path, cache=cache)
+    table = SectionTable(path)
+    if mode == "mmap":
+        return _load_mapped(table, cache=cache, verify=verify)
+    return _load_copy(table, cache=cache)
 
 
-def _load_v1(
-    path: PathLike, cache: Optional[TokenCache]
-) -> InvertedIndex:
-    header, payload = _read_payload(path)
-    _check_cache_analyzer(header, cache)
+@contextlib.contextmanager
+def _payload_errors() -> Iterator[None]:
+    """Re-raise a malformed payload's error (bad UTF-8, out-of-range
+    rows ...) as a :class:`SnapshotError`."""
     try:
-        with np.load(io.BytesIO(payload)) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        texts = _unpack_strings(
-            arrays["texts_buf"], arrays["texts_indptr"]
-        )
-        article_ids = _unpack_strings(
-            arrays["articles_buf"], arrays["articles_indptr"]
-        )
-        vocab_tokens = _unpack_strings(
-            arrays["vocab_buf"], arrays["vocab_indptr"]
-        )
-        # json.loads rebuilds the per-entry position lists entirely in
-        # C; a Python-level loop would dominate restore time.
-        position_lists = json.loads(
-            arrays["post_positions_json"].tobytes().decode("ascii")
-        )
-        index = _rebuild_index(header, arrays, position_lists, texts,
-                               article_ids, vocab_tokens, cache)
+        yield
     except SnapshotError:
         raise
-    except Exception as exc:  # malformed arrays, bad zip, bad UTF-8 ...
+    except Exception as exc:
         raise SnapshotError(f"snapshot payload unreadable: {exc}") from exc
-    if cache is not None:
-        _seed_cache(cache, arrays, texts, vocab_tokens)
-    return index
 
 
-def _load_v2_copy(
-    path: PathLike, cache: Optional[TokenCache]
+def _load_copy(
+    table: SectionTable, cache: Optional[TokenCache]
 ) -> InvertedIndex:
-    """Rebuild the classic index from a v2 snapshot (always verified)."""
-    table = SectionTable(path)
+    """Rebuild the classic index from a snapshot (always verified)."""
     try:
         _check_cache_analyzer(table.header, cache)
         table.verify_all()
-        header = table.header
         # np.array() copies each section out of the mapping: copy-mode
         # callers (and the cache seeder, which retains id arrays) must
         # own their state outright, with the file closed behind them.
@@ -877,7 +708,7 @@ def _load_v2_copy(
         }
     finally:
         table.close()
-    try:
+    with _payload_errors():
         texts = _unpack_strings(
             arrays["texts_buf"], arrays["texts_indptr"]
         )
@@ -896,27 +727,38 @@ def _load_v2_copy(
             )
         )
         index = _rebuild_index(
-            header, arrays, position_lists, texts,
+            table.header, arrays, position_lists, texts,
             article_ids, vocab_tokens, cache,
         )
-    except SnapshotError:
-        raise
-    except Exception as exc:  # malformed arrays, bad UTF-8 ...
-        raise SnapshotError(f"snapshot payload unreadable: {exc}") from exc
-    if cache is not None:
-        _seed_cache(cache, arrays, texts, vocab_tokens)
+        if cache is not None:
+            _seed_cache(
+                cache, arrays["tok_ids"], arrays["tok_indptr"],
+                texts, vocab_tokens,
+            )
     return index
 
 
-def _load_v2_mapped(
-    path: PathLike, cache: Optional[TokenCache], verify: bool
-):
+def _load_mapped(
+    table: SectionTable, cache: Optional[TokenCache], verify: bool
+) -> InvertedIndex:
     from repro.search.mapped import MappedSnapshotIndex
 
-    table = SectionTable(path)
     _check_cache_analyzer(table.header, cache)
     if verify:
         table.verify_all()
+    if cache is not None:
+        with _payload_errors():
+            _seed_cache(
+                cache,
+                table.array("tok_ids"),
+                table.array("tok_indptr"),
+                _unpack_strings(
+                    table.array("texts_buf"), table.array("texts_indptr")
+                ),
+                _unpack_strings(
+                    table.array("vocab_buf"), table.array("vocab_indptr")
+                ),
+            )
     return MappedSnapshotIndex(table, cache=cache)
 
 
@@ -1011,12 +853,13 @@ def _rebuild_index(
 
 def _seed_cache(
     cache: TokenCache,
-    arrays: Dict[str, np.ndarray],
+    flat_ids: np.ndarray,
+    tok_indptr: np.ndarray,
     texts: List[str],
     vocab_tokens: List[str],
 ) -> None:
-    flat_ids = arrays["tok_ids"]
-    bounds = arrays["tok_indptr"].tolist()
+    """Warm *cache* from the ``tok_ids`` / ``tok_indptr`` sections."""
+    bounds = tok_indptr.tolist()
     flat_tokens = list(map(vocab_tokens.__getitem__, flat_ids.tolist()))
     streams = list(
         map(

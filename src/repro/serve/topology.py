@@ -2,7 +2,7 @@
 
 The scatter-gather tier (docs/serving.md, "Sharded serving") splits one
 indexed corpus into N disjoint **slices by content date**, persists each
-slice as its own ``wilson.snapshot/v1`` file, and records the layout in
+slice as its own ``wilson.snapshot/v2`` file, and records the layout in
 a ``topology.json`` manifest. Each slice then boots as an ordinary
 single-index server process (the unchanged asyncio app from
 :mod:`repro.serve.app`), and a :class:`~repro.serve.router.TimelineRouter`
@@ -272,10 +272,7 @@ def plan_date_ranges(
 
 
 def export_slices(
-    index: InvertedIndex,
-    out_dir: PathLike,
-    num_shards: int,
-    snapshot_format: str = "v2",
+    index: InvertedIndex, out_dir: PathLike, num_shards: int
 ) -> Topology:
     """Partition *index* into slice snapshots + manifest under *out_dir*.
 
@@ -284,12 +281,8 @@ def export_slices(
     the slice, i.e. by date then source order), stamped with the
     source's ``index_version``, and written as a snapshot whose header
     carries ``slice`` metadata (shard id, shard count, date range) for
-    O(1) layout introspection via :func:`snapshot_info`.
-
-    Slices default to the v2 layout so a worker fleet booted with
-    ``--snapshot-mode mmap`` shares each slice's index pages instead of
-    copying them per process; pass ``snapshot_format="v1"`` for the
-    legacy npz layout.
+    O(1) layout introspection via :func:`snapshot_info`. Every worker
+    of a slice maps the same file, so they share its index pages.
     """
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,7 +316,6 @@ def export_slices(
                 "start": start.isoformat() if start else None,
                 "end": end.isoformat() if end else None,
             },
-            snapshot_format=snapshot_format,
         )
         shards.append(
             ShardSlice(
@@ -348,15 +340,10 @@ def export_slices(
 
 
 def export_engine_slices(
-    engine: SearchEngine,
-    out_dir: PathLike,
-    num_shards: int,
-    snapshot_format: str = "v2",
+    engine: SearchEngine, out_dir: PathLike, num_shards: int
 ) -> Topology:
     """:func:`export_slices` over a :class:`SearchEngine`'s index."""
-    return export_slices(
-        engine.index, out_dir, num_shards, snapshot_format=snapshot_format
-    )
+    return export_slices(engine.index, out_dir, num_shards)
 
 
 @dataclass
@@ -384,10 +371,10 @@ class ShardWorkerPool:
     for its ephemeral port and exposes the resolved endpoints.
 
     With ``replicas > 1`` every slice boots that many identical worker
-    processes. All replicas of a slice point at the *same* snapshot
-    file, so under the default ``mmap`` mode they resolve the same
-    physical index pages -- R replicas cost roughly one snapshot plus R
-    small Python heaps (docs/serving.md, "Replicated shards").
+    processes. All replicas of a slice map the *same* snapshot file, so
+    they resolve the same physical index pages -- R replicas cost
+    roughly one snapshot plus R small Python heaps (docs/serving.md,
+    "Replicated shards").
     """
 
     def __init__(
@@ -396,24 +383,14 @@ class ShardWorkerPool:
         batch_window_ms: float = 2.0,
         boot_timeout_seconds: float = 60.0,
         extra_args: Sequence[str] = (),
-        snapshot_mode: str = "mmap",
         replicas: int = 1,
     ) -> None:
-        if snapshot_mode not in ("copy", "mmap"):
-            raise ValueError(
-                "snapshot_mode must be 'copy' or 'mmap', "
-                f"got {snapshot_mode!r}"
-            )
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.topology = topology
         self.batch_window_ms = batch_window_ms
         self.boot_timeout_seconds = boot_timeout_seconds
         self.extra_args = tuple(extra_args)
-        #: Restore strategy passed to every worker. ``"mmap"`` (default)
-        #: lets all workers of a slice share one physical copy of its
-        #: v2 snapshot pages; v1 slices degrade to per-worker copies.
-        self.snapshot_mode = snapshot_mode
         #: Worker processes per slice (the shard's failure domain width).
         self.replicas = replicas
         self.workers: List[ShardWorker] = []
@@ -449,8 +426,6 @@ class ShardWorkerPool:
                         "serve",
                         "--snapshot",
                         str(shard.path),
-                        "--snapshot-mode",
-                        self.snapshot_mode,
                         "--port",
                         "0",
                         "--batch-window-ms",

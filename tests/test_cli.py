@@ -195,57 +195,37 @@ class TestSnapshotCli:
         assert str(out) in output
         assert out.exists()
 
-    def test_snapshot_rejects_two_sources(self, corpus_file, tmp_path, capsys):
-        path, _ = corpus_file
-        code = main(
-            [
-                "snapshot", str(path),
-                "--from-index", str(tmp_path / "x.jsonl"),
-                "--out", str(tmp_path / "out.snap"),
-            ]
-        )
-        assert code == 2
-        assert "not both" in capsys.readouterr().err
-
-    def test_snapshot_from_jsonl_index(self, corpus_file, tmp_path, capsys):
-        from repro.search.engine import SearchEngine
-        from repro.search.snapshot import snapshot_info
-
-        path, instance = corpus_file
-        engine = SearchEngine()
-        engine.add_articles(instance.corpus.articles)
-        jsonl = tmp_path / "index.jsonl"
-        engine.save(jsonl)
-        out = tmp_path / "converted.snap"
-        assert main(
-            ["snapshot", "--from-index", str(jsonl), "--out", str(out)]
-        ) == 0
-        info = snapshot_info(out)
-        assert info["documents"] == len(engine.index)
-        assert info["index_version"] == engine.index_version
-
     def test_index_info_snapshot(self, snapshot_file, capsys):
         assert main(["index-info", str(snapshot_file)]) == 0
         output = capsys.readouterr().out
-        assert "wilson.snapshot/v1" in output
-        assert "format_version 1" in output
+        assert "wilson.snapshot/v2" in output
+        assert "format_version 2" in output
         assert "documents:" in output
         assert "index_version:" in output
         assert ".." in output  # date span rendered
 
-    def test_index_info_jsonl(self, corpus_file, tmp_path, capsys):
-        from repro.search.engine import SearchEngine
+    def test_index_info_jsonl(self, corpus_file, capsys):
+        # JSONL is no index format: index-info refuses it with one
+        # stderr line naming the file and the reason, and exit code 2.
+        path, _ = corpus_file
+        assert main(["index-info", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert str(path) in lines[0]
+        assert "not a wilson.snapshot/v2 file" in lines[0]
+        assert "Traceback" not in captured.err
 
-        path, instance = corpus_file
-        engine = SearchEngine()
-        engine.add_articles(instance.corpus.articles)
-        jsonl = tmp_path / "index.jsonl"
-        engine.save(jsonl)
-        assert main(["index-info", str(jsonl)]) == 0
-        output = capsys.readouterr().out
-        assert "JSONL" in output
-        assert f"documents:     {len(engine.index)}" in output
-        assert f"index_version: {engine.index_version}" in output
+    def test_index_info_rejects_a_v1_snapshot(self, tmp_path, capsys):
+        old = tmp_path / "index.v1.snap"
+        old.write_bytes(
+            b'{"meta": "wilson.snapshot/v1", "format_version": 1}\nPK'
+        )
+        assert main(["index-info", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(old) in err and "wilson.snapshot/v2" in err
 
     def test_serve_parser_snapshot_flag(self):
         assert build_parser().parse_args(["serve"]).snapshot is None
@@ -271,11 +251,14 @@ class TestServeBoot:
         assert source == f"snapshot {out}"
         assert indexed > 0
         assert metrics.gauge("snapshot.documents").value == indexed
-        assert metrics.gauge("snapshot.format_version").value == 1
+        assert metrics.gauge("snapshot.format_version").value == 2
+        # Every snapshot boot maps the file.
+        assert metrics.gauge("snapshot.mmap_sections").value > 0
+        assert metrics.gauge("snapshot.mmap_bytes").value > 0
         assert metrics.gauge("snapshot.load_seconds").value >= 0.0
         assert metrics.gauge("snapshot.vocabulary_terms").value > 0
         assert system.index_version > 0
-        # The snapshot pre-seeds the shared analyzer cache.
+        # The mapped snapshot pre-seeds the shared analyzer cache.
         assert system.cache is not None
         assert system.cache.stats().misses == 0
 

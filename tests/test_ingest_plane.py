@@ -375,13 +375,10 @@ class TestStreamedEqualsCold:
         articles = make_articles()
         cold = cold_system(articles)
         cold_path = tmp_path / "cold.snap"
-        cold.engine.save_snapshot(cold_path, snapshot_format="v2")
+        cold.engine.save_snapshot(cold_path)
 
         system, plane = live_system([articles[:3], articles[3:]])
-        report = plane.compact(
-            snapshot_path=tmp_path / "compacted.snap",
-            snapshot_format="v2",
-        )
+        report = plane.compact(snapshot_path=tmp_path / "compacted.snap")
         assert report.folded_segments == 2
         assert report.documents == cold.engine.index.num_documents
         cold_digest = hashlib.sha256(cold_path.read_bytes()).hexdigest()
@@ -698,7 +695,7 @@ class TestCompactionDurability:
         config = IngestConfig(segments_dir=segments)
         system, plane = live_system([articles[:3]], config=config)
         out = tmp_path / "exported.snap"
-        report = plane.compact(snapshot_path=out, snapshot_format="v2")
+        report = plane.compact(snapshot_path=out)
         assert report.snapshot_path == out
         recovery = segments / "compacted.snapshot"
         assert recovery.is_file()

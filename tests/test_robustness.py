@@ -142,19 +142,6 @@ class TestCorruptFiles:
         with pytest.raises(json.JSONDecodeError):
             load_corpus(path)
 
-    def test_index_load_skips_blank_lines(self, tmp_path):
-        from repro.search.index import InvertedIndex
-
-        index = InvertedIndex()
-        index.add("A sentence.", d("2020-01-01"), d("2020-01-01"))
-        path = tmp_path / "index.jsonl"
-        index.save(path)
-        path.write_text(
-            path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8"
-        )
-        restored = InvertedIndex.load(path)
-        assert restored.num_documents == 1
-
 
 class TestExtremeParameters:
     def test_threshold_near_zero_still_terminates(self):

@@ -129,9 +129,9 @@ class TestDateHistogram:
 
 class TestPersistence:
     def test_roundtrip(self, index, tmp_path):
-        path = tmp_path / "index.jsonl"
-        index.save(path)
-        restored = InvertedIndex.load(path)
+        path = tmp_path / "index.snap"
+        index.save_snapshot(path)
+        restored = InvertedIndex.load_snapshot(path)
         assert restored.num_documents == index.num_documents
         assert restored.vocabulary_size() == index.vocabulary_size()
         assert restored.average_length == index.average_length
@@ -139,9 +139,9 @@ class TestPersistence:
             assert restored.document(doc_id) == index.document(doc_id)
 
     def test_restored_index_answers_queries(self, index, tmp_path):
-        path = tmp_path / "index.jsonl"
-        index.save(path)
-        restored = InvertedIndex.load(path)
+        path = tmp_path / "index.snap"
+        index.save_snapshot(path)
+        restored = InvertedIndex.load_snapshot(path)
         original = execute(index, SearchQuery(keywords=("ceasefire",)))
         reloaded = execute(
             restored, SearchQuery(keywords=("ceasefire",))
@@ -154,15 +154,15 @@ class TestPersistence:
         )
 
     def test_restored_index_is_incremental(self, index, tmp_path):
-        path = tmp_path / "index.jsonl"
-        index.save(path)
-        restored = InvertedIndex.load(path)
+        path = tmp_path / "index.snap"
+        index.save_snapshot(path)
+        restored = InvertedIndex.load_snapshot(path)
         restored.add("A fresh ceasefire development.",
                      d("2020-02-01"), d("2020-02-01"))
         hits = execute(restored, SearchQuery(keywords=("ceasefire",)))
         assert len(hits) == 3
 
     def test_save_creates_parent_dirs(self, index, tmp_path):
-        path = tmp_path / "deep" / "nested" / "index.jsonl"
-        index.save(path)
+        path = tmp_path / "deep" / "nested" / "index.snap"
+        index.save_snapshot(path)
         assert path.exists()

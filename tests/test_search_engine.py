@@ -96,9 +96,9 @@ class TestRealTimeSystem:
 
 class TestEnginePersistence:
     def test_save_load_roundtrip(self, engine, tmp_path):
-        path = tmp_path / "engine.jsonl"
-        engine.save(path)
-        restored = SearchEngine.load(path)
+        path = tmp_path / "engine.snap"
+        engine.save_snapshot(path)
+        restored = SearchEngine.load_snapshot(path)
         assert restored.num_indexed_sentences == (
             engine.num_indexed_sentences
         )
@@ -112,9 +112,9 @@ class TestEnginePersistence:
     def test_index_version_survives_round_trip(self, engine, tmp_path):
         version = engine.index_version
         assert version == engine.num_indexed_sentences > 0
-        path = tmp_path / "engine.jsonl"
-        engine.save(path)
-        restored = SearchEngine.load(path)
+        path = tmp_path / "engine.snap"
+        engine.save_snapshot(path)
+        restored = SearchEngine.load_snapshot(path)
         assert restored.index_version == version
 
 

@@ -97,12 +97,12 @@ class TestIndexVersion:
     def test_save_load_round_trip(self, index, tmp_path):
         # Advance the version past the document count (simulating an
         # index that had documents added and a fresh save): the restored
-        # version must match the saved one exactly, not the re-insert
+        # version must match the saved one exactly, not the document
         # count.
         index._version = 17
-        path = tmp_path / "index.jsonl"
-        index.save(path)
-        restored = InvertedIndex.load(path)
+        path = tmp_path / "index.snap"
+        index.save_snapshot(path)
+        restored = InvertedIndex.load_snapshot(path)
         assert restored.index_version == 17
         assert len(restored) == len(index)
         assert restored.document(1).text == index.document(1).text
@@ -117,22 +117,10 @@ class TestIndexVersion:
         # index_version never see a reused version.
         empty = InvertedIndex()
         empty._version = 9
-        path = tmp_path / "empty.jsonl"
-        empty.save(path)
-        restored = InvertedIndex.load(path)
+        path = tmp_path / "empty.snap"
+        empty.save_snapshot(path)
+        restored = InvertedIndex.load_snapshot(path)
         assert len(restored) == 0
         assert restored.index_version == 9
         restored.add("First report.", d("2020-02-01"), d("2020-02-01"))
         assert restored.index_version == 10
-
-    def test_load_pre_version_format(self, index, tmp_path):
-        # Old snapshots have no meta line; the restored version falls
-        # back to the number of re-inserted documents.
-        path = tmp_path / "old.jsonl"
-        index.save(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert "meta" in lines[0]
-        path.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
-        restored = InvertedIndex.load(path)
-        assert len(restored) == 3
-        assert restored.index_version == 3

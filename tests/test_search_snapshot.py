@@ -2,9 +2,10 @@
 
 The contract under test (docs/serving.md "Cold start & snapshots"):
 
-* loading a snapshot reconstructs the *identical* index state the JSONL
-  path produces -- postings, documents, date buckets, ``index_version``
-  -- and therefore identical search hits and served timeline JSON;
+* loading a snapshot reconstructs the *identical* index state the source
+  index was built with -- postings, documents, date buckets,
+  ``index_version`` -- and therefore identical search hits and served
+  timeline JSON;
 * a fresh :class:`~repro.text.analysis.TokenCache` passed to the loader
   is pre-seeded so the first query pays zero tokenisation;
 * any corruption (bad magic, truncated header, flipped payload byte,
@@ -23,8 +24,8 @@ from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
 from repro.search.query import SearchQuery
 from repro.search.snapshot import (
-    SNAPSHOT_FORMAT_VERSION,
-    SNAPSHOT_MAGIC,
+    SNAPSHOT_FORMAT_VERSION_V2,
+    SNAPSHOT_MAGIC_V2,
     SnapshotError,
     load_snapshot,
     save_snapshot,
@@ -66,13 +67,6 @@ def snapshot_path(engine, tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def jsonl_path(engine, tmp_path_factory):
-    path = tmp_path_factory.mktemp("snap") / "index.jsonl"
-    engine.save(path)
-    return path
-
-
 def _assert_same_index(restored: InvertedIndex, reference: InvertedIndex):
     assert len(restored) == len(reference)
     assert restored.index_version == reference.index_version
@@ -85,12 +79,11 @@ def _assert_same_index(restored: InvertedIndex, reference: InvertedIndex):
 
 
 class TestRoundTrip:
-    def test_index_state_identical_to_jsonl_load(
-        self, snapshot_path, jsonl_path
+    def test_index_state_identical_to_source_index(
+        self, engine, snapshot_path
     ):
-        from_snapshot = InvertedIndex.load_snapshot(snapshot_path)
-        from_jsonl = InvertedIndex.load(jsonl_path)
-        _assert_same_index(from_snapshot, from_jsonl)
+        restored = InvertedIndex.load_snapshot(snapshot_path)
+        _assert_same_index(restored, engine.index)
 
     def test_search_hits_identical(self, engine, snapshot_path):
         restored = SearchEngine.load_snapshot(snapshot_path)
@@ -119,12 +112,12 @@ class TestRoundTrip:
         assert cache.stats().misses == 0
 
     def test_served_timeline_json_identical(
-        self, instance, snapshot_path, jsonl_path
+        self, instance, engine, snapshot_path
     ):
         def serve(engine):
-            system = RealTimeTimelineSystem(
-                engine=engine, cache=engine.cache
-            )
+            # Each pipeline gets its own fresh token cache, so token ids
+            # are interned in the same order on both sides.
+            system = RealTimeTimelineSystem(engine=engine)
             start, end = instance.corpus.window
             return canonical_json(
                 system.generate_timeline(
@@ -134,7 +127,7 @@ class TestRoundTrip:
             )
 
         assert serve(SearchEngine.load_snapshot(snapshot_path)) == serve(
-            SearchEngine.load(jsonl_path)
+            engine
         )
 
     def test_empty_index_preserves_version(self, tmp_path):
@@ -150,8 +143,8 @@ class TestRoundTrip:
 
     def test_info_reads_header_only(self, engine, snapshot_path):
         info = snapshot_info(snapshot_path)
-        assert info["meta"] == SNAPSHOT_MAGIC
-        assert info["format_version"] == SNAPSHOT_FORMAT_VERSION
+        assert info["meta"] == SNAPSHOT_MAGIC_V2
+        assert info["format_version"] == SNAPSHOT_FORMAT_VERSION_V2
         assert info["documents"] == len(engine.index)
         assert info["vocabulary"] == engine.index.vocabulary_size()
         assert info["index_version"] == engine.index_version
@@ -181,7 +174,7 @@ class TestRoundTrip:
         # keep the examples independent anyway.
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_property_round_trip_matches_jsonl(self, docs, tmp_path):
+    def test_property_round_trip_matches_source(self, docs, tmp_path):
         index = InvertedIndex()
         base = d("2021-05-01")
         for tokens, offset in docs:
@@ -194,12 +187,8 @@ class TestRoundTrip:
                 is_reference=offset % 2 == 0,
             )
         snap = tmp_path / "prop.snap"
-        jsonl = tmp_path / "prop.jsonl"
         save_snapshot(index, snap)
-        index.save(jsonl)
-        _assert_same_index(
-            load_snapshot(snap), InvertedIndex.load(jsonl)
-        )
+        _assert_same_index(load_snapshot(snap), index)
 
 
 class TestCorruption:
@@ -210,7 +199,7 @@ class TestCorruption:
         raw = self._bytes(snapshot_path)
         bad = tmp_path / "magic.snap"
         bad.write_bytes(
-            raw.replace(SNAPSHOT_MAGIC.encode(), b"wilson.other/v9", 1)
+            raw.replace(SNAPSHOT_MAGIC_V2.encode(), b"wilson.other/v9", 1)
         )
         with pytest.raises(SnapshotError, match="not a wilson.snapshot"):
             load_snapshot(bad)
@@ -221,7 +210,7 @@ class TestCorruption:
         import json
 
         meta = json.loads(header)
-        meta["format_version"] = SNAPSHOT_FORMAT_VERSION + 1
+        meta["format_version"] = SNAPSHOT_FORMAT_VERSION_V2 + 1
         bad = tmp_path / "version.snap"
         bad.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
         with pytest.raises(SnapshotError, match="format_version"):
@@ -229,7 +218,7 @@ class TestCorruption:
 
     def test_truncated_header(self, tmp_path):
         bad = tmp_path / "truncated.snap"
-        bad.write_bytes(b'{"meta": "wilson.snapshot/v1"')
+        bad.write_bytes(b'{"meta": "wilson.snapshot/v2"')
         with pytest.raises(SnapshotError, match="header"):
             load_snapshot(bad)
 
@@ -269,12 +258,18 @@ class TestCorruption:
     def test_corruption_never_partially_loads(
         self, snapshot_path, tmp_path
     ):
-        # JSONL fallback stays available: the reference engine loads
-        # fine while the corrupt snapshot refuses -- the serve boot
-        # pattern (try snapshot, fall back) never sees a broken index.
+        # A byte flipped mid-postings refuses the whole load and leaves
+        # the given cache untouched -- the serve boot pattern (try the
+        # snapshot, fall back to re-indexing) never sees a broken index.
         raw = bytearray(self._bytes(snapshot_path))
-        raw[len(raw) // 2] ^= 0x55
+        header_len = raw.index(b"\n") + 1
+        data_start = -(-header_len // 4096) * 4096
+        section = snapshot_info(snapshot_path)["sections"]["post_doc_ids"]
+        middle = section["offset"] + 8 * (section["shape"][0] // 2)
+        raw[data_start + middle] ^= 0x55
         bad = tmp_path / "half.snap"
         bad.write_bytes(bytes(raw))
+        cache = TokenCache()
         with pytest.raises(SnapshotError):
-            SearchEngine.load_snapshot(bad)
+            SearchEngine.load_snapshot(bad, cache=cache)
+        assert len(cache) == 0 and len(cache.vocabulary) == 0

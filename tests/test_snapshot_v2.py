@@ -2,10 +2,11 @@
 
 Three contracts, per docs/architecture.md "Snapshot memory model":
 
-* **exactness** -- a v2 snapshot loaded any way (``mode="copy"`` or
-  ``mode="mmap"``) reconstructs exactly the state the v1 copy path
-  produces: postings, positions, dates, documents, search hits, and the
-  canonical served-timeline JSON are byte-identical across all three;
+* **exactness** -- a snapshot loaded either way (``mode="copy"`` or
+  ``mode="mmap"``) reconstructs exactly the state of the index it was
+  written from: postings, positions, dates, documents, search hits, and
+  the canonical served-timeline JSON are byte-identical, and a fresh
+  token cache is seeded identically by both modes;
 * **read-only views** -- the mmap path hands out an index backed by
   ``MAP_SHARED`` read-only pages: mutation is refused up front, and the
   mapped index can itself be re-snapshotted losslessly;
@@ -20,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.pipeline import Wilson, WilsonConfig
 from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
 from repro.search.mapped import MappedSnapshotIndex
@@ -62,16 +64,9 @@ def engine(instance):
 
 
 @pytest.fixture(scope="module")
-def v1_path(engine, tmp_path_factory):
-    path = tmp_path_factory.mktemp("snapv2") / "index.v1.snap"
-    engine.save_snapshot(path, snapshot_format="v1")
-    return path
-
-
-@pytest.fixture(scope="module")
 def v2_path(engine, tmp_path_factory):
     path = tmp_path_factory.mktemp("snapv2") / "index.v2.snap"
-    engine.save_snapshot(path, snapshot_format="v2")
+    engine.save_snapshot(path)
     return path
 
 
@@ -156,7 +151,9 @@ def _index_state(index):
 
 
 def _served_bytes(engine, instance):
-    system = RealTimeTimelineSystem(engine=engine, cache=engine.cache)
+    # The pipeline gets a fresh token cache of its own, so every engine
+    # compared interns token ids in the same order.
+    system = RealTimeTimelineSystem(engine=engine)
     start, end = instance.corpus.window
     timeline = system.generate_timeline(
         instance.corpus.query, start=start, end=end,
@@ -175,8 +172,8 @@ class TestExactness:
             assert descriptor["offset"] % np.dtype(descriptor["dtype"]).itemsize == 0
             assert len(descriptor["sha256"]) == 64
 
-    def test_state_identical_across_all_load_paths(self, v1_path, v2_path):
-        reference = _index_state(load_snapshot(v1_path))
+    def test_state_identical_across_all_load_paths(self, engine, v2_path):
+        reference = _index_state(engine.index)
         assert _index_state(load_snapshot(v2_path, mode="copy")) == reference
         assert _index_state(load_snapshot(v2_path, mode="mmap")) == reference
 
@@ -199,15 +196,13 @@ class TestExactness:
         )
 
     def test_served_bytes_identical_across_tiers(
-        self, instance, v1_path, v2_path
+        self, instance, engine, v2_path
     ):
-        reference = _served_bytes(
-            SearchEngine.load_snapshot(v1_path), instance
-        )
-        for path, mode in ((v2_path, "copy"), (v2_path, "mmap")):
+        reference = _served_bytes(engine, instance)
+        for mode in ("copy", "mmap"):
             assert (
                 _served_bytes(
-                    SearchEngine.load_snapshot(path, mode=mode), instance
+                    SearchEngine.load_snapshot(v2_path, mode=mode), instance
                 )
                 == reference
             ), f"served JSON diverged for {mode} load"
@@ -215,18 +210,59 @@ class TestExactness:
     def test_mapped_index_resnapshots_losslessly(self, v2_path, tmp_path):
         mapped = load_snapshot(v2_path, mode="mmap")
         again = tmp_path / "again.snap"
-        save_snapshot(mapped, again, snapshot_format="v2")
+        save_snapshot(mapped, again)
         assert _index_state(load_snapshot(again, mode="copy")) == _index_state(
             mapped
         )
 
     def test_fresh_cache_seeded_on_v2_copy_load(self, v2_path):
-        cache = TokenCache()
-        index = load_snapshot(v2_path, mode="copy", cache=cache)
-        assert cache.stats().misses == 0
-        for doc_id in range(len(index)):
-            cache.tokens(index.document(doc_id).text)
-        assert cache.stats().misses == 0
+        # Mapping seeds a fresh cache exactly as copying does: the same
+        # vocabulary order (token ids) and the same token streams, so
+        # nothing indexed is ever re-tokenised.
+        caches = {}
+        for mode in ("copy", "mmap"):
+            cache = caches[mode] = TokenCache()
+            index = load_snapshot(v2_path, mode=mode, cache=cache)
+            assert cache.stats().misses == 0
+            texts = [
+                index.document(doc_id).text for doc_id in range(len(index))
+            ]
+            for text in texts:
+                cache.tokens(text)
+            assert cache.stats().misses == 0, mode
+        copied, mapped = caches["copy"], caches["mmap"]
+        assert list(mapped.vocabulary) == list(copied.vocabulary)
+        for text in texts:
+            assert mapped.tokens(text) == copied.tokens(text)
+            assert mapped.token_ids(text).tolist() == (
+                copied.token_ids(text).tolist()
+            )
+
+    def test_both_modes_serve_identical_bytes_with_fresh_wilson_caches(
+        self, instance, v2_path
+    ):
+        # The serve boot path: a fresh Wilson whose cache the load
+        # seeds. Copy and mmap boots must give every token the same id
+        # and hence break near-ties in day rankings identically.
+        served, vocabularies = {}, {}
+        for mode in ("copy", "mmap"):
+            wilson = Wilson(WilsonConfig())
+            engine = SearchEngine.load_snapshot(
+                v2_path, cache=wilson.cache, mode=mode
+            )
+            system = RealTimeTimelineSystem(
+                engine=engine, wilson=wilson, cache=wilson.cache
+            )
+            start, end = instance.corpus.window
+            served[mode] = canonical_json(
+                system.generate_timeline(
+                    instance.corpus.query, start=start, end=end,
+                    num_dates=5, num_sentences=2,
+                ).timeline.to_dict()
+            )
+            vocabularies[mode] = list(wilson.cache.vocabulary)
+        assert served["mmap"] == served["copy"]
+        assert vocabularies["mmap"] == vocabularies["copy"]
 
 
 class TestReadOnlySemantics:
@@ -238,25 +274,21 @@ class TestReadOnlySemantics:
         with pytest.raises(TypeError, match="read-only"):
             mapped.add("New sentence.", day, day)
 
-    def test_v1_snapshot_falls_back_to_copy_path(self, v1_path):
-        # A fleet-wide --snapshot-mode mmap must still boot a worker
-        # whose shard is a v1 file: v1 always takes the copy path.
-        index = load_snapshot(v1_path, mode="mmap")
-        assert not isinstance(index, MappedSnapshotIndex)
-        assert len(index) > 0
-
-    def test_section_table_refuses_v1(self, v1_path):
+    def test_section_table_refuses_v1(self, tmp_path):
+        # Files of the retired npz format are refused, never misread;
+        # `snapshot` rebuilds them from the corpus.
+        v1_path = tmp_path / "index.v1.snap"
+        header = {"meta": "wilson.snapshot/v1", "format_version": 1}
+        v1_path.write_bytes(json.dumps(header).encode() + b"\nPK\x03\x04")
         with pytest.raises(SnapshotError, match="wilson.snapshot/v2"):
             SectionTable(v1_path)
+        for mode in ("copy", "mmap"):
+            with pytest.raises(SnapshotError, match="wilson.snapshot/v2"):
+                load_snapshot(v1_path, mode=mode)
 
     def test_unknown_mode_rejected(self, v2_path):
         with pytest.raises(ValueError, match="mode"):
             load_snapshot(v2_path, mode="slurp")
-
-    def test_v1_loads_regardless_of_requested_mode_validity(self, v1_path):
-        # v1 files always take the copy path; mode="copy" is explicit.
-        index = load_snapshot(v1_path, mode="copy")
-        assert len(index) > 0
 
 
 class TestCorruption:
@@ -346,3 +378,54 @@ class TestCorruption:
             del array
         finally:
             table.close()
+
+
+class TestAtomicWrites:
+    def test_overwriting_a_mapped_snapshot_leaves_the_mapping_intact(
+        self, engine, tmp_path
+    ):
+        # A server maps the snapshot; a larger, different index is then
+        # saved to the same path. The rename swaps in a new inode, so
+        # the mapping keeps serving its own documents.
+        import datetime
+
+        path = tmp_path / "live.snap"
+        engine.save_snapshot(path)
+        mapped = load_snapshot(path, mode="mmap")
+        day = datetime.date(2024, 1, 1)
+        bigger = InvertedIndex()
+        for number in range(2 * len(engine.index)):
+            bigger.add(f"Unrelated filler report number {number}.", day, day)
+        old_size = path.stat().st_size
+        save_snapshot(bigger, path)
+        assert path.stat().st_size > old_size
+        assert len(load_snapshot(path, mode="mmap")) == len(bigger)
+        assert _index_state(mapped) == _index_state(engine.index)
+
+    def test_failed_write_keeps_the_old_file_and_no_temporary(
+        self, engine, tmp_path, monkeypatch
+    ):
+        import os
+
+        path = tmp_path / "index.snap"
+        engine.save_snapshot(path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_snapshot(InvertedIndex(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["index.snap"]
+
+    def test_temporary_name_is_never_listed_as_a_segment(self, tmp_path):
+        from repro.ingest.segment import list_segments
+        from repro.search.snapshot import replacing
+
+        with replacing(tmp_path / "segment-000001.seg") as tmp:
+            tmp.write_bytes(b"partial")
+            assert tmp.parent == tmp_path
+            assert list_segments(tmp_path) == []
+        assert list_segments(tmp_path) == [tmp_path / "segment-000001.seg"]
