@@ -7,23 +7,15 @@ WILSON grows ~linearly, and the gap widens with corpus size -- the basis
 of the paper's "two orders of magnitude" speedup claim.
 """
 
-import math
-from typing import Dict, List, Sequence
-
-import numpy as np
-
 from common import (
-    assert_if_opted_in,
     emit,
     emit_stage_breakdown,
     timed,
     write_json_result,
 )
 from repro.baselines.submodular import asmds, tls_constraints
-from repro.core.pipeline import Wilson, WilsonConfig
 from repro.core.variants import wilson_full
 from repro.obs.trace import Tracer
-from repro.text.bm25 import BM25Parameters
 from repro.tlsdata.synthetic import SyntheticConfig, SyntheticCorpusGenerator
 
 #: Target pool sizes (dated sentences). Quadratic cost keeps the largest
@@ -117,8 +109,7 @@ def test_figure2_runtime_curves(benchmark, capsys, json_out):
     )
     # Shape 1: submodular is much slower at the largest size. (These
     # complexity-shape ratios compare algorithms within the same run and
-    # carry 5-16x margins, so they stay always-on; the tight ≥1.5x
-    # before/after ratio below is the BENCH_ASSERT-gated one.)
+    # carry 5-16x margins, so they stay always-on.)
     assert timings["ASMDS"][-1] > 8 * timings["WILSON"][-1]
     assert timings["TLSConstraints"][-1] > 5 * timings["WILSON"][-1]
     # Shape 2: the submodular growth is superlinear -- growing the corpus
@@ -133,121 +124,14 @@ def test_figure2_runtime_curves(benchmark, capsys, json_out):
     assert last_gap > first_gap
 
 
-class LegacyBM25:
-    """The pre-optimisation BM25 implementation, verbatim from the seed.
-
-    Kept here as the benchmark's "before" reference: per-token Python
-    dict counting at construction time, per-token per-document loops in
-    :meth:`scores`, and COO-list pairwise assembly. The shipped
-    :class:`repro.text.bm25.BM25` replaced all three with Counter/CSR
-    construction and sparse products; patching this class into the
-    legacy runs keeps the before/after comparison honest instead of
-    letting the "before" configuration ride on the optimised internals.
-    """
-
-    def __init__(
-        self,
-        corpus: Sequence[Sequence[str]],
-        params: BM25Parameters = BM25Parameters(),
-    ) -> None:
-        self.params = params
-        self._doc_freqs: List[Dict[str, int]] = []
-        self._doc_lens = np.array(
-            [len(doc) for doc in corpus], dtype=np.float64
-        )
-        self.num_docs = len(corpus)
-        mean_len = float(self._doc_lens.mean()) if self.num_docs else 0.0
-        self.avgdl = mean_len if mean_len > 0 else 1.0
-
-        document_frequency: Dict[str, int] = {}
-        for doc in corpus:
-            freqs: Dict[str, int] = {}
-            for token in doc:
-                freqs[token] = freqs.get(token, 0) + 1
-            self._doc_freqs.append(freqs)
-            for token in freqs:
-                document_frequency[token] = (
-                    document_frequency.get(token, 0) + 1
-                )
-        self._idf = {
-            token: math.log(
-                1.0 + (self.num_docs - df + 0.5) / (df + 0.5)
-            )
-            for token, df in document_frequency.items()
-        }
-
-    def idf(self, token: str) -> float:
-        return self._idf.get(token, 0.0)
-
-    def scores(self, query: Sequence[str]) -> np.ndarray:
-        result = np.zeros(self.num_docs, dtype=np.float64)
-        if self.num_docs == 0:
-            return result
-        k1, b = self.params.k1, self.params.b
-        norms = k1 * (1.0 - b + b * self._doc_lens / self.avgdl)
-        for token in query:
-            token_idf = self._idf.get(token)
-            if token_idf is None:
-                continue
-            for index, freqs in enumerate(self._doc_freqs):
-                tf = freqs.get(token)
-                if tf:
-                    result[index] += (
-                        token_idf * tf * (k1 + 1.0) / (tf + norms[index])
-                    )
-        return result
-
-    def pairwise_matrix(self) -> np.ndarray:
-        from scipy import sparse
-
-        n = self.num_docs
-        if n == 0:
-            return np.zeros((0, 0), dtype=np.float64)
-        token_ids: Dict[str, int] = {}
-        rows: List[int] = []
-        cols: List[int] = []
-        query_data: List[float] = []
-        doc_data: List[float] = []
-        k1, b = self.params.k1, self.params.b
-        norms = k1 * (1.0 - b + b * self._doc_lens / self.avgdl)
-        for doc_id, freqs in enumerate(self._doc_freqs):
-            for token, tf in freqs.items():
-                token_id = token_ids.setdefault(token, len(token_ids))
-                rows.append(doc_id)
-                cols.append(token_id)
-                query_data.append(tf * self._idf.get(token, 0.0))
-                doc_data.append(
-                    tf * (k1 + 1.0) / (tf + norms[doc_id])
-                )
-        if not token_ids:
-            return np.zeros((n, n), dtype=np.float64)
-        shape = (n, len(token_ids))
-        query_side = sparse.csr_matrix(
-            (query_data, (rows, cols)), shape=shape
-        )
-        doc_side = sparse.csr_matrix(
-            (doc_data, (rows, cols)), shape=shape
-        )
-        matrix = np.asarray(
-            (query_side @ doc_side.T).todense(), dtype=np.float64
-        )
-        np.fill_diagonal(matrix, 0.0)
-        return matrix
-
-
-def test_figure2_wilson_stage_breakdown(
-    benchmark, capsys, monkeypatch, json_out
-):
+def test_figure2_wilson_stage_breakdown(benchmark, capsys, json_out):
     """Where WILSON's time goes at the largest Figure-2 corpus size.
 
-    Runs the pre-optimisation configuration (no shared analysis cache,
-    per-pair dict-cosine redundancy loop, the seed's :class:`LegacyBM25`
-    hot paths) and the default optimised pipeline on the same pool,
-    archiving the optimised breakdown with the before/after pipeline
-    totals in the notes. Shared-path improvements that the legacy
-    configuration cannot opt out of (TF-IDF fitting, date grouping,
-    PageRank buffering) still benefit the "before" runs, so the reported
-    speedup is a conservative floor of the true before/after.
+    Archives the optimised pipeline's per-stage breakdown. The
+    before/after comparison against the pre-optimisation configuration
+    (no shared analysis cache, per-pair dict-cosine redundancy loop, the
+    seed's dict-loop BM25) was measured once at ~1.6x end to end; that
+    figure stays in ``baselines/BENCH_figure2_stage_breakdown.json``.
     """
     pool = _pool_of_size(SIZES[-1])
     rounds = 5
@@ -258,72 +142,25 @@ def test_figure2_wilson_stage_breakdown(
         ) * 1e3
 
     def traced_runs():
-        """Best-of-``rounds`` traced run per configuration.
+        """The fastest of ``rounds`` traced runs.
 
-        A single cold run is at the mercy of the scheduler; the rounds
-        are interleaved (legacy, optimized, legacy, ...) so load drift
-        hits both configurations equally, and the fastest run of each is
-        kept -- the standard way to compare two configurations on a
+        A single cold run is at the mercy of the scheduler; keeping the
+        fastest of several is the standard way to time a pipeline on a
         shared machine.
         """
-
-        import repro.core.date_selection as date_selection_module
-        import repro.rank.textrank as textrank_module
-
-        def one_run(make_wilson, legacy_bm25=False):
-            # The seed's BM25 sat behind the same import sites the
-            # shipped class does; swapping it in for the legacy runs
-            # reproduces the pre-optimisation daily + W4 hot paths.
-            shipped = textrank_module.BM25
-            if legacy_bm25:
-                monkeypatch.setattr(textrank_module, "BM25", LegacyBM25)
-                monkeypatch.setattr(
-                    date_selection_module, "BM25", LegacyBM25
-                )
-            try:
-                tracer = Tracer()
-                make_wilson().summarize(
-                    pool, num_dates=NUM_DATES,
-                    num_sentences=NUM_SENTENCES, tracer=tracer,
-                )
-                return tracer
-            finally:
-                if legacy_bm25:
-                    monkeypatch.setattr(textrank_module, "BM25", shipped)
-                    monkeypatch.setattr(
-                        date_selection_module, "BM25", shipped
-                    )
-
-        legacy_wilson = lambda: Wilson(  # noqa: E731
-            WilsonConfig(
-                analysis_cache=False, vectorized_postprocess=False
-            )
-        )
-        legacy_tracers = []
-        optimized_tracers = []
+        tracers = []
         for _ in range(rounds):
-            legacy_tracers.append(
-                one_run(legacy_wilson, legacy_bm25=True)
+            tracer = Tracer()
+            wilson_full().summarize(
+                pool, num_dates=NUM_DATES,
+                num_sentences=NUM_SENTENCES, tracer=tracer,
             )
-            optimized_tracers.append(one_run(wilson_full))
-        fastest = lambda ts: min(  # noqa: E731
-            ts, key=lambda t: _stage_ms(t, "pipeline")
-        )
-        return fastest(legacy_tracers), fastest(optimized_tracers)
+            tracers.append(tracer)
+        return min(tracers, key=lambda t: _stage_ms(t, "pipeline"))
 
-    legacy_tracer, tracer = benchmark.pedantic(
-        traced_runs, rounds=1, iterations=1
-    )
+    tracer = benchmark.pedantic(traced_runs, rounds=1, iterations=1)
 
-    legacy_ms = _stage_ms(legacy_tracer, "pipeline")
     optimized_ms = _stage_ms(tracer, "pipeline")
-    speedup = legacy_ms / max(optimized_ms, 1e-9)
-    legacy_post_share = _stage_ms(legacy_tracer, "postprocess") / max(
-        legacy_ms, 1e-9
-    )
-    post_share = _stage_ms(tracer, "postprocess") / max(
-        optimized_ms, 1e-9
-    )
     emit_stage_breakdown(
         "figure2_stage_breakdown",
         tracer,
@@ -334,17 +171,6 @@ def test_figure2_wilson_stage_breakdown(
         capsys=capsys,
         notes=[
             "span vocabulary: docs/observability.md",
-            (
-                f"before/after: legacy pipeline {legacy_ms:.1f}ms "
-                f"(no analysis cache, per-pair redundancy loop, seed "
-                f"dict-loop BM25) -> optimized {optimized_ms:.1f}ms = "
-                f"{speedup:.1f}x end-to-end speedup"
-            ),
-            (
-                f"postprocess share: {legacy_post_share:.1%} of legacy "
-                f"run -> {post_share:.1%} of optimized run "
-                f"(vectorized redundancy check)"
-            ),
             (
                 "analysis cache: "
                 f"{tracer.counters.get('analysis.cache_hits', 0):.0f} hits / "
@@ -357,9 +183,7 @@ def test_figure2_wilson_stage_breakdown(
         "figure2_stage_breakdown",
         {
             "pool_sentences": SIZES[-1],
-            "legacy_pipeline_seconds": legacy_ms / 1e3,
             "optimized_pipeline_seconds": optimized_ms / 1e3,
-            "end_to_end_speedup": speedup,
         },
         json_out,
     )
@@ -369,19 +193,3 @@ def test_figure2_wilson_stage_breakdown(
     root = tracer.find("pipeline")[0]
     covered = sum(child.duration_seconds for child in root.children)
     assert covered >= 0.9 * root.duration_seconds
-    # The shared cache + vectorized hot paths must pay off end to end,
-    # and the redundancy check must stop dominating the run. Wall-clock
-    # ratios flake on slow shared runners, so these are enforced only
-    # under BENCH_ASSERT=1 and reported informationally otherwise.
-    assert_if_opted_in(
-        speedup >= 1.5,
-        f"expected >=1.5x end-to-end speedup over legacy, got "
-        f"{speedup:.2f}x",
-        capsys,
-    )
-    assert_if_opted_in(
-        post_share < legacy_post_share,
-        f"expected postprocess share to shrink: optimized "
-        f"{post_share:.1%} vs legacy {legacy_post_share:.1%}",
-        capsys,
-    )

@@ -38,9 +38,8 @@ Subcommands:
 ``demo``, ``timeline`` and ``serve-query`` accept the shared
 observability flags ``--trace`` (per-stage span tree on stderr) and
 ``--trace-json [PATH]`` (the ``wilson.trace/v1`` document; see
-``docs/observability.md``), plus the shared performance flags
-``--daily-workers N`` (parallel per-day summarisation) and
-``--no-analysis-cache`` (disable the shared tokenisation cache).
+``docs/observability.md``), plus the shared performance flag
+``--daily-workers N`` (parallel per-day summarisation).
 ``evaluate`` additionally accepts the sharded-runtime flags
 ``--shard-workers N`` / ``--shard-timeout SECONDS`` /
 ``--shard-retries N`` fanning topics across a fault-isolated process
@@ -91,7 +90,7 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared performance flags (worker threads, analysis cache)."""
+    """The shared performance flag (per-day worker threads)."""
     parser.add_argument(
         "--daily-workers",
         type=int,
@@ -99,12 +98,6 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker threads for the per-day summarisation sub-tasks "
              "(default 1 = sequential)",
-    )
-    parser.add_argument(
-        "--no-analysis-cache",
-        action="store_true",
-        help="disable the shared tokenisation cache (the pre-cache "
-             "baseline; mainly for benchmarking)",
     )
 
 
@@ -221,7 +214,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             num_dates=args.dates or instance.target_num_dates,
             sentences_per_date=args.sentences,
             daily_workers=args.daily_workers,
-            analysis_cache=not args.no_analysis_cache,
         )
     )
     tracer = _make_tracer(args)
@@ -259,7 +251,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
             num_dates=args.dates,
             sentences_per_date=args.sentences,
             daily_workers=args.daily_workers,
-            analysis_cache=not args.no_analysis_cache,
         )
     )
     tracer = _make_tracer(args)
@@ -274,12 +265,7 @@ def _cmd_serve_query(args: argparse.Namespace) -> int:
 
     corpus = load_corpus(args.corpus)
     system = RealTimeTimelineSystem(
-        wilson=Wilson(
-            WilsonConfig(
-                daily_workers=args.daily_workers,
-                analysis_cache=not args.no_analysis_cache,
-            )
-        )
+        wilson=Wilson(WilsonConfig(daily_workers=args.daily_workers))
     )
     system.ingest(corpus.articles)
     tracer = _make_tracer(args)
@@ -321,12 +307,7 @@ def _build_serve_system(args: argparse.Namespace, metrics) -> tuple:
     """
     import time
 
-    wilson = Wilson(
-        WilsonConfig(
-            daily_workers=args.daily_workers,
-            analysis_cache=not args.no_analysis_cache,
-        )
-    )
+    wilson = Wilson(WilsonConfig(daily_workers=args.daily_workers))
     snapshot_path = getattr(args, "snapshot", None)
     if snapshot_path is not None:
         from repro.search.engine import SearchEngine
@@ -630,12 +611,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         for shard_id in range(topology.num_shards)
     ]
     _print_shard_layout(topology)
-    wilson = Wilson(
-        WilsonConfig(
-            daily_workers=args.daily_workers,
-            analysis_cache=not args.no_analysis_cache,
-        )
-    )
+    wilson = Wilson(WilsonConfig(daily_workers=args.daily_workers))
     return _run_router_blocking(
         args, topology, groups, Metrics(), wilson, boot_started
     )

@@ -36,10 +36,11 @@ class DayMatrixCache:
     sentences pin popular dates -- yet every cache-miss query used to
     rebuild the same O(N^2) BM25 adjacency matrix and re-run PageRank
     on it. The matrix and its ranking are fully determined by the cache
-    key, so memoising just the ranked *order* (not the megabytes-large
-    matrix, which a replay never touches) lets a hit skip both the
-    matrix build and the PageRank run while returning bit-identical
-    results. Keys cover the day, the exact sentence pool and every
+    key -- BM25 numbers tokens locally per day pool, so nothing else
+    the process has tokenised enters it -- and memoising just the
+    ranked *order* (not the megabytes-large matrix, which a replay
+    never touches) lets a hit skip both the matrix build and the
+    PageRank run while returning bit-identical results. Keys cover the day, the exact sentence pool and every
     ranking parameter, plus the owning index's version so ingestion
     invalidates stale entries (:meth:`sync_version`).
 

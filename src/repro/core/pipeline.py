@@ -77,14 +77,6 @@ class WilsonConfig:
     #: paper's parallel-processing remark in Section 2.3.1). 1 =
     #: sequential.
     daily_workers: int = 1
-    #: Share one :class:`~repro.text.analysis.TokenCache` across every
-    #: stage so each distinct sentence text is tokenised exactly once per
-    #: pipeline lifetime. Disable only to reproduce the pre-cache
-    #: baseline in benchmarks.
-    analysis_cache: bool = True
-    #: Use the batched sparse-matrix redundancy check in post-processing
-    #: (identical output to the legacy per-pair loop, just faster).
-    vectorized_postprocess: bool = True
     #: Cap on date-reference-graph nodes before PageRank (top-K by
     #: mention mass; see
     #: :data:`repro.core.date_selection.DEFAULT_MAX_GRAPH_DATES`).
@@ -138,15 +130,11 @@ class Wilson:
         cache: Optional[TokenCache] = None,
     ) -> None:
         self.config = config or WilsonConfig()
-        #: The shared analysis cache, or ``None`` when disabled. Long-lived:
-        #: repeated ``summarize`` calls (e.g. the real-time query loop)
-        #: reuse tokenisation across runs. Callers may pass their own
-        #: cache to share it beyond this pipeline instance.
-        self.cache: Optional[TokenCache] = (
-            (cache if cache is not None else TokenCache())
-            if self.config.analysis_cache
-            else None
-        )
+        #: The shared analysis cache. Long-lived: repeated ``summarize``
+        #: calls (e.g. the real-time query loop) reuse tokenisation
+        #: across runs. Callers may pass their own cache to share it
+        #: beyond this pipeline instance.
+        self.cache: TokenCache = cache if cache is not None else TokenCache()
         self._selector = DateSelector(
             edge_weight=self.config.edge_weight,
             recency_adjustment=self.config.recency_adjustment,
@@ -268,9 +256,7 @@ class Wilson:
         config = self.config
         if num_sentences is None:
             num_sentences = config.sentences_per_date
-        cache_before = (
-            self.cache.stats() if self.cache is not None else None
-        )
+        cache_before = self.cache.stats()
         with tracer.root_span("pipeline"):
             tracer.count("pipeline.input_sentences", len(dated_sentences))
             selected = self.select_dates(
@@ -292,7 +278,6 @@ class Wilson:
                         redundancy_threshold=config.redundancy_threshold,
                         tracer=tracer,
                         cache=self.cache,
-                        vectorized=config.vectorized_postprocess,
                     )
                 else:
                     timeline = take_top_sentences(
@@ -309,10 +294,9 @@ class Wilson:
                         "compression.sentences_compressed",
                         sum(len(sentences) for _, sentences in timeline),
                     )
-            if self.cache is not None:
-                # One batched delta per run -- the cache outlives the
-                # pipeline call, so only this run's hits/misses count.
-                self.cache.report(tracer, cache_before)
+            # One batched delta per run -- the cache outlives the
+            # pipeline call, so only this run's hits/misses count.
+            self.cache.report(tracer, cache_before)
         return timeline
 
     def summarize_corpus(

@@ -5,9 +5,9 @@ as a pure function over array arguments:
 
 * :func:`bm25_build` -- per-document BM25 factor matrices (CSR triples)
   from concatenated token-id arrays, the core of
-  :class:`repro.text.bm25.BM25IdMatrices`;
-* :func:`bm25_saturate` -- the saturated document-side BM25 factor,
-  shared by :class:`repro.text.bm25.BM25`'s string path;
+  :class:`repro.text.bm25.BM25`;
+* :func:`bm25_saturate` -- the saturated document-side BM25 factor of
+  :func:`bm25_build`;
 * :func:`csr_matvec` -- BM25 score accumulation (one sparse
   matrix-vector product over CSR postings statistics);
 * :func:`bm25_day_matrix` -- the all-pairs BM25 TextRank adjacency of a
@@ -61,8 +61,9 @@ def bm25_saturate(
 
     ``result[e] = tf[e] * (k1 + 1) / (tf[e] + norm[entry_rows[e]])``
     with ``norm[d] = k1 * (1 - b + b * doc_lengths[d] / avgdl)`` -- the
-    per-posting value of the BM25 document side. All inputs are read
-    only; the result is a fresh ``float64`` array.
+    per-posting value of the BM25 document side, as :func:`bm25_build`
+    stores it. All inputs are read only; the result is a fresh
+    ``float64`` array.
     """
     tf = np.asarray(tf, dtype=np.float64)
     if tf.size == 0:
@@ -84,6 +85,11 @@ def bm25_build(
     *ids_cat* concatenates every document's token-id array (documents
     with zero tokens contribute nothing); *row_lengths* carries each
     document's token count, so ``row_lengths.sum() == len(ids_cat)``.
+    Ids are column numbers below *vocabulary_size*, and their order is
+    the float summation order of every product over the result, so a
+    caller that wants results to depend on the documents alone numbers
+    tokens locally -- :class:`repro.text.bm25.BM25` uses first
+    occurrence over its corpus.
 
     Returns ``(indptr, indices, doc_data, query_data, idf_per_column,
     avgdl)`` -- the shared CSR structure of the document-side and

@@ -21,7 +21,7 @@ import numpy as np
 from repro.graph.pagerank import DEFAULT_DAMPING, pagerank_matrix
 from repro.obs.trace import Tracer
 from repro.text.analysis import TokenCache, tokenize_with
-from repro.text.bm25 import BM25, BM25IdMatrices, BM25Parameters
+from repro.text.bm25 import BM25, BM25Parameters
 
 #: Default per-sentence neighbour cap for the BM25 TextRank graph. Days
 #: with at most this many other sentences are untouched (the truncation
@@ -94,23 +94,6 @@ def truncate_neighbors(
     return truncated
 
 
-def _build_bm25_index(
-    sentences: Sequence[str],
-    params: BM25Parameters,
-    cache: Optional[TokenCache],
-):
-    if cache is not None:
-        # The cache hands out interned token-id arrays, so the whole
-        # BM25 graph builds without touching a string: per-document term
-        # frequencies come from one np.unique over (row, token-id) keys.
-        id_arrays = [cache.token_ids(text) for text in sentences]
-        return BM25IdMatrices(
-            id_arrays, len(cache.vocabulary), params=params
-        )
-    tokenised = tokenize_with(cache, sentences)
-    return BM25(tokenised, params=params)
-
-
 def bm25_adjacency(
     sentences: Sequence[str],
     params: BM25Parameters = BM25Parameters(),
@@ -125,7 +108,7 @@ def bm25_adjacency(
     share it across concurrent queries (see
     :class:`repro.core.daily.DayMatrixCache`).
     """
-    index = _build_bm25_index(sentences, params, cache)
+    index = BM25(tokenize_with(cache, sentences), params)
     return truncate_neighbors(
         index.pairwise_matrix(), neighbor_top_k, tracer=tracer
     )
@@ -179,7 +162,7 @@ def textrank_bm25(
         return [0]
     index = None
     if adjacency is None:
-        index = _build_bm25_index(sentences, params, cache)
+        index = BM25(tokenize_with(cache, sentences), params)
         adjacency = truncate_neighbors(
             index.pairwise_matrix(), neighbor_top_k, tracer=tracer
         )
@@ -187,18 +170,9 @@ def textrank_bm25(
     personalization: Optional[np.ndarray] = None
     if query_bias > 0.0 and query:
         if index is None:
-            index = _build_bm25_index(sentences, params, cache)
+            index = BM25(tokenize_with(cache, sentences), params)
         query_tokens = tokenize_with(cache, [" ".join(query)])[0]
-        if cache is not None:
-            vocabulary_get = cache.vocabulary.get
-            query_ids = [
-                token_id
-                for token_id in map(vocabulary_get, query_tokens)
-                if token_id is not None
-            ]
-            relevance = index.scores(query_ids)
-        else:
-            relevance = index.scores(query_tokens)
+        relevance = index.scores(query_tokens)
         total = relevance.sum()
         n = len(sentences)
         uniform = np.full(n, 1.0 / n)

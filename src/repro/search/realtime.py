@@ -93,10 +93,8 @@ class RealTimeTimelineSystem:
         #: One :class:`~repro.text.analysis.TokenCache` shared between the
         #: search engine and the pipeline, persisting across queries:
         #: repeat or overlapping queries skip tokenisation entirely
-        #: (warm-cache serving). ``None`` only when the pipeline was
-        #: configured with ``analysis_cache=False`` and no explicit
-        #: cache was passed.
-        self.cache: Optional[TokenCache] = (
+        #: (warm-cache serving).
+        self.cache: TokenCache = (
             cache if cache is not None else self.wilson.cache
         )
         self.engine = engine or SearchEngine(cache=self.cache)

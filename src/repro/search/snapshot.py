@@ -6,9 +6,9 @@ together with its derived state, so restoring it never re-tokenises:
 * distinct sentence texts (UTF-8 buffer + offsets) and, per document, a
   row into that table plus date ordinals / article row / reference flag;
 * the vocabulary (postings insertion order) and one token-id array per
-  distinct text -- exactly what a :class:`~repro.text.analysis.TokenCache`
-  would have computed, so the analyzer cache is seeded without
-  tokenising anything;
+  distinct text, encoding the token stream a
+  :class:`~repro.text.analysis.TokenCache` would have computed, so the
+  analyzer cache is seeded without tokenising anything;
 * positional postings as CSR arrays (per-token entry ranges over doc
   ids, per-entry position ranges), document lengths, and the doc ids
   grouped by content date;
@@ -667,11 +667,10 @@ def load_snapshot(
 
     When *cache* is given its analyzer configuration must match the one
     recorded in the snapshot (raises :class:`SnapshotError` otherwise),
-    and either mode seeds it from the token-id sections: every distinct
-    text's token stream and -- for a fresh cache -- the interned id
-    arrays and the full vocabulary in snapshot order. Both modes thus
-    leave a cache that gives every token the same id, and neither the
-    first query nor re-slicing the index tokenises any indexed text.
+    and either mode seeds it with every distinct text's token stream from
+    the token-id sections, so neither the first query nor re-slicing the
+    index tokenises any indexed text. Seeding only saves that time: a
+    seeded cache serves the same streams tokenising would produce.
     """
     if mode not in ("copy", "mmap"):
         raise ValueError(f"mode must be 'copy' or 'mmap', got {mode!r}")
@@ -701,8 +700,8 @@ def _load_copy(
         _check_cache_analyzer(table.header, cache)
         table.verify_all()
         # np.array() copies each section out of the mapping: copy-mode
-        # callers (and the cache seeder, which retains id arrays) must
-        # own their state outright, with the file closed behind them.
+        # callers must own their state outright, with the file closed
+        # behind them.
         arrays = {
             name: np.array(table.array(name)) for name, _ in _V2_SECTIONS
         }
@@ -870,15 +869,4 @@ def _seed_cache(
             ),
         )
     )
-    # Interned id arrays are only valid against the snapshot vocabulary;
-    # seed them solely into a pristine cache whose vocabulary we also
-    # control. A cache with prior entries still gets the token streams
-    # (the expensive part) and re-interns ids lazily.
-    if len(cache) == 0 and len(cache.vocabulary) == 0:
-        cache.vocabulary.add_all(vocab_tokens)
-        id_arrays: Optional[List[np.ndarray]] = list(
-            map(flat_ids.__getitem__, map(slice, bounds, bounds[1:]))
-        )
-    else:
-        id_arrays = None
-    cache.warm(texts, streams, id_arrays=id_arrays)
+    cache.warm(texts, streams)

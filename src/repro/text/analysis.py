@@ -6,9 +6,13 @@ pass plus Porter stemming -- was recomputed for the *same sentence text*
 independently by date selection (W4 edge weights), the per-day TextRank
 summariser, post-processing, LSA embedding and the search engine. A
 :class:`TokenCache` tokenises each distinct text exactly once and hands the
-shared token stream (and, on request, an interned token-id array) to every
-downstream consumer; :class:`AnalyzedCorpus` is the convenience view over a
-fixed sentence list.
+shared token stream to every downstream consumer; :class:`AnalyzedCorpus`
+is the convenience view over a fixed sentence list.
+
+The cache only memoises: a token stream is a pure function of its text,
+so whether a text was served from the cache, seeded from a snapshot or
+tokenised afresh never changes a result. Consumers that want integer ids
+(BM25) number tokens locally per corpus.
 
 The cache is long-lived by design: :class:`~repro.core.pipeline.Wilson`
 owns one for its whole lifetime and the Section 5 real-time system shares
@@ -31,10 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.text.tokenize import tokenize_for_matching
-from repro.text.vocabulary import Vocabulary
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,13 @@ class TokenCache:
         serves exactly one normalisation configuration.
 
     Token streams are returned as tuples so consumers can share them
-    without defensive copies. :meth:`token_ids` additionally interns the
-    stream into a cache-wide :class:`Vocabulary` and returns a dense
-    ``int32`` id array, for consumers that want to skip string hashing.
+    without defensive copies.
     """
 
     def __init__(self, stem: bool = True, drop_stopwords: bool = True) -> None:
         self.stem = stem
         self.drop_stopwords = drop_stopwords
-        self.vocabulary = Vocabulary()
         self._tokens: Dict[str, Tuple[str, ...]] = {}
-        self._ids: Dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -141,47 +138,27 @@ class TokenCache:
             streams[position] = self.tokens(texts[position])
         return streams  # type: ignore[return-value]
 
-    def token_ids(self, text: str) -> np.ndarray:
-        """The token stream of *text* interned as a dense id array."""
-        ids = self._ids.get(text)
-        if ids is not None:
-            return ids
-        tokens = self.tokens(text)
-        with self._lock:
-            ids = self._ids.get(text)
-            if ids is None:
-                ids = np.array(
-                    self.vocabulary.add_all(tokens), dtype=np.int32
-                )
-                self._ids[text] = ids
-        return ids
-
     def warm(
         self,
         texts: Sequence[str],
         token_streams: Sequence[Tuple[str, ...]],
-        id_arrays: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
         """Seed the cache with precomputed analyzer output.
 
         The snapshot loader (:mod:`repro.search.snapshot`) restores
-        token streams -- and, when the vocabulary ids are known to be
-        consistent with :attr:`vocabulary`, the interned id arrays --
-        without re-tokenising. Existing entries are never overwritten;
-        a seeded entry counts as neither hit nor miss.
+        token streams without re-tokenising. Seeding only saves time: a
+        seeded stream equals the one :meth:`tokens` would compute.
+        Existing entries are never overwritten; a seeded entry counts as
+        neither hit nor miss.
         """
         if len(texts) != len(token_streams):
             raise ValueError(
                 "texts and token_streams must be the same length"
             )
-        if id_arrays is not None and len(id_arrays) != len(texts):
-            raise ValueError("id_arrays must align with texts")
         with self._lock:
             for position, text in enumerate(texts):
                 if text not in self._tokens:
                     self._tokens[text] = tuple(token_streams[position])
-                if id_arrays is not None and text not in self._ids:
-                    self._ids[text] = id_arrays[position]
 
     # -- telemetry -----------------------------------------------------------
 
@@ -218,10 +195,9 @@ class TokenCache:
         return text in self._tokens
 
     def clear(self) -> None:
-        """Drop every cached entry (the id vocabulary survives)."""
+        """Drop every cached entry."""
         with self._lock:
             self._tokens.clear()
-            self._ids.clear()
 
     # -- pickling ------------------------------------------------------------
 

@@ -12,14 +12,15 @@ WILSON uses BM25 in three places:
 
 :class:`BM25` indexes a tokenised corpus once and then answers
 ``score(query_tokens, doc_index)`` and ``scores(query_tokens)`` queries.
+Token ids are local to the corpus, so a ranking depends on the corpus
+alone and never on what else the process has tokenised.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -51,12 +52,15 @@ class BM25Parameters:
 class BM25:
     """BM25 index over a fixed corpus of tokenised documents.
 
-    Query scoring is vectorised: the saturated term-frequency side
-    ``S[d, t] = tf_dt * (k1 + 1) / (tf_dt + norm_d)`` is materialised
-    once as a CSR postings matrix (lazily, on the first call that needs
-    it), after which :meth:`scores` is a single sparse matrix-vector
-    product and :meth:`pairwise_matrix` a single sparse product --
-    instead of per-token per-document Python loops.
+    Tokens are numbered in first-occurrence order over the corpus and
+    :func:`repro.kernels.bm25_build` turns that id stream into the
+    saturated document side ``S[d, t] = tf_dt * (k1 + 1) / (tf_dt +
+    norm_d)`` and the query side ``Q[d, t] = tf_dt * idf(t)``, sharing one
+    canonical CSR structure. :meth:`scores` is then a single sparse
+    matrix-vector product and :meth:`pairwise_matrix` a single sparse
+    product -- instead of per-token per-document Python loops. Because
+    the column order follows the corpus, so does every float summation
+    order: the same documents give bit-identical results in any process.
     """
 
     def __init__(
@@ -65,161 +69,83 @@ class BM25:
         params: BM25Parameters = BM25Parameters(),
     ) -> None:
         self.params = params
-        self._doc_freqs: List[Dict[str, int]] = []
-        self._doc_lens = np.array(
-            [len(doc) for doc in corpus], dtype=np.float64
+        self._corpus = list(corpus)
+        self.num_docs = n = len(self._corpus)
+        self._columns: Dict[str, int] = {}
+        column = self._columns.setdefault
+        ids = [
+            column(token, len(self._columns))
+            for doc in self._corpus
+            for token in doc
+        ]
+        lengths = np.fromiter(
+            map(len, self._corpus), dtype=np.int64, count=n
         )
-        self.num_docs = len(corpus)
-        # Guard against an all-empty corpus: a zero average length would
-        # poison the length normalisation with divisions by zero.
-        mean_len = float(self._doc_lens.mean()) if self.num_docs else 0.0
-        self.avgdl = mean_len if mean_len > 0 else 1.0
-
-        document_frequency: Counter = Counter()
-        append = self._doc_freqs.append
-        for doc in corpus:
-            freqs = Counter(doc)
-            append(freqs)
-            document_frequency.update(freqs.keys())
-
-        self._idf = self._compute_idf(document_frequency)
-        # Lazy CSR factorisation: (token -> column, doc-side matrix,
-        # per-column IDF, raw tf/doc data + coordinates for both sides).
-        self._postings: Optional[
-            Tuple[Dict[str, int], "object", np.ndarray]
-        ] = None
-        self._coords: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None
-
-    def _postings_matrix(self):
-        """``(token_index, doc_side_csr, idf_per_column)``, built once.
-
-        ``doc_side_csr[d, t]`` carries the saturated document-side BM25
-        factor of token *t* in document *d*; multiplying by a query
-        vector ``q[t] = count_q(t) * idf(t)`` yields exactly the
-        :meth:`score` accumulation for every document at once.
-        """
-        if self._postings is None:
-            from scipy import sparse
-
-            token_index: Dict[str, int] = {}
-            setdefault = token_index.setdefault
-            doc_tokens: List[str] = []
-            tf_values: List[int] = []
-            lengths = np.zeros(len(self._doc_freqs), dtype=np.int64)
-            for doc_id, freqs in enumerate(self._doc_freqs):
-                doc_tokens.extend(freqs.keys())
-                tf_values.extend(freqs.values())
-                lengths[doc_id] = len(freqs)
-            cols = [
-                setdefault(token, len(token_index))
-                for token in doc_tokens
-            ]
-            row_arr = np.repeat(
-                np.arange(len(self._doc_freqs), dtype=np.int64), lengths
-            )
-            col_arr = np.asarray(cols, dtype=np.int64)
-            tf_arr = np.asarray(tf_values, dtype=np.float64)
-            # Rows are already grouped in document order, so the CSR
-            # arrays can be assembled directly (no COO round trip).
-            indptr = np.zeros(len(self._doc_freqs) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            doc_data = kernels.bm25_saturate(
-                tf_arr,
-                row_arr,
-                self._doc_lens,
-                self.avgdl,
-                self.params.k1,
-                self.params.b,
-            )
-            shape = (self.num_docs, max(len(token_index), 1))
-            # Construct from a copy: sort_indices() permutes the matrix
-            # data in place, and the raw (unsorted) doc_data is kept in
-            # _coords for pairwise_matrix's kernel call.
-            doc_side = sparse.csr_matrix(
-                (doc_data.copy(), col_arr, indptr), shape=shape
-            )
-            doc_side.sort_indices()
-            # token_index assigns columns 0..n-1 in insertion order, so
-            # iterating its keys yields the per-column IDF directly.
-            idf_map = self._idf
-            idf_per_column = np.zeros(shape[1], dtype=np.float64)
-            if token_index:
-                idf_per_column[: len(token_index)] = np.fromiter(
-                    (idf_map[token] for token in token_index),
-                    dtype=np.float64,
-                    count=len(token_index),
-                )
-            self._postings = (token_index, doc_side, idf_per_column)
-            self._coords = (col_arr, tf_arr, indptr, doc_data)
-        return self._postings
-
-    def _compute_idf(
-        self, document_frequency: Dict[str, int]
-    ) -> Dict[str, float]:
-        """Always-positive (Lucene-style) inverse document frequency.
-
-        Tokens sharing a document frequency share their IDF; one log per
-        distinct df keeps the hot path off ``math.log``.
-        """
-        n, log = self.num_docs, math.log
-        log_by_df: Dict[int, float] = {}
-        idf: Dict[str, float] = {}
-        for token, df in document_frequency.items():
-            value = log_by_df.get(df)
-            if value is None:
-                value = log_by_df[df] = log(
-                    1.0 + (n - df + 0.5) / (df + 0.5)
-                )
-            idf[token] = value
-        return idf
+        (
+            self._indptr,
+            self._cols,
+            self._doc_data,
+            self._query_data,
+            self._idf_per_column,
+            self.avgdl,
+        ) = kernels.bm25_build(
+            np.asarray(ids, dtype=np.int64),
+            lengths,
+            len(self._columns),
+            params.k1,
+            params.b,
+        )
+        self._shape = (n, len(self._idf_per_column))
 
     def idf(self, token: str) -> float:
         """IDF of *token* (0.0 for out-of-vocabulary tokens)."""
-        return self._idf.get(token, 0.0)
+        column = self._columns.get(token)
+        if column is None:
+            return 0.0
+        return float(self._idf_per_column[column])
 
     def score(self, query: Sequence[str], index: int) -> float:
-        """BM25 relevance of document *index* to the tokenised *query*."""
-        freqs = self._doc_freqs[index]
-        if not freqs:
+        """BM25 relevance of document *index* to the tokenised *query*.
+
+        The per-document reference form of :meth:`scores`: one plain
+        loop over the query tokens, straight from the formula.
+        """
+        doc = self._corpus[index]
+        if not doc:
             return 0.0
+        freqs = Counter(doc)
         k1, b = self.params.k1, self.params.b
-        norm = k1 * (1.0 - b + b * self._doc_lens[index] / self.avgdl)
+        norm = k1 * (1.0 - b + b * len(doc) / self.avgdl)
         total = 0.0
         for token in query:
             tf = freqs.get(token)
             if not tf:
                 continue
-            total += self._idf.get(token, 0.0) * tf * (k1 + 1.0) / (tf + norm)
+            total += self.idf(token) * tf * (k1 + 1.0) / (tf + norm)
         return total
 
     def scores(self, query: Sequence[str]) -> np.ndarray:
         """BM25 relevance of every indexed document to *query*.
 
-        One sparse matvec over the precomputed postings matrix: the
-        query collapses to a vector ``q[t] = count_q(t) * idf(t)``
-        (repeated query terms contribute additively, exactly as the
-        per-token loop of :meth:`score` does).
+        One sparse matvec over the document side: the query collapses
+        to a vector ``q[t] = count_q(t) * idf(t)`` (repeated query terms
+        contribute additively, exactly as the per-token loop of
+        :meth:`score` does).
         """
         result = np.zeros(self.num_docs, dtype=np.float64)
         if self.num_docs == 0 or not query:
             return result
-        token_index, doc_side, idf_per_column = self._postings_matrix()
-        query_vector = np.zeros(doc_side.shape[1], dtype=np.float64)
+        query_vector = np.zeros(self._shape[1], dtype=np.float64)
         matched = False
         for token in query:
-            column = token_index.get(token)
+            column = self._columns.get(token)
             if column is not None:
-                query_vector[column] += idf_per_column[column]
+                query_vector[column] += self._idf_per_column[column]
                 matched = True
         if not matched:
             return result
         return kernels.csr_matvec(
-            doc_side.data,
-            doc_side.indices,
-            doc_side.indptr,
-            doc_side.shape,
+            self._doc_data, self._cols, self._indptr, self._shape,
             query_vector,
         )
 
@@ -231,118 +157,10 @@ class BM25:
         because a sentence must not vote for itself.
 
         One :func:`repro.kernels.bm25_day_matrix` call: a sparse product
-        ``Q @ S.T`` where ``Q[i, t] = count_i(t) * idf(t)`` carries the
-        query side (repeated query terms contribute additively) and
-        ``S[j, t] = tf_jt * (k1 + 1) / (tf_jt + norm_j)`` the saturated
-        document side.
+        ``Q @ S.T`` of the query and document sides (repeated query
+        terms contribute additively).
         """
-        n = self.num_docs
-        if n == 0:
-            return np.zeros((0, 0), dtype=np.float64)
-        token_index, doc_side, idf_per_column = self._postings_matrix()
-        if not token_index:
-            return np.zeros((n, n), dtype=np.float64)
-        cols, tf_values, indptr, doc_data = self._coords
         return kernels.bm25_day_matrix(
-            tf_values * idf_per_column[cols],
-            doc_data,
-            cols,
-            indptr,
-            doc_side.shape,
-        )
-
-
-class BM25IdMatrices:
-    """BM25 factor matrices over pre-interned token-id arrays.
-
-    The fully vectorised counterpart of :class:`BM25` for consumers that
-    hold :meth:`~repro.text.analysis.TokenCache.token_ids` arrays: term
-    frequencies per document come from one ``np.unique`` over a composite
-    ``(document, token-id)`` key instead of per-document Python counting,
-    so corpus indexing never touches a string. Per-cell factor values
-    match :class:`BM25` exactly (same tf, same length normalisation, the
-    same ``math.log`` IDF per document frequency); only the column order
-    -- and hence the float summation order inside matrix products --
-    differs, which moves results by at most a few ulps.
-    """
-
-    def __init__(
-        self,
-        id_arrays: Sequence[np.ndarray],
-        vocabulary_size: int,
-        params: BM25Parameters = BM25Parameters(),
-    ) -> None:
-        from scipy import sparse
-
-        self.params = params
-        self.num_docs = n = len(id_arrays)
-        self.vocabulary_size = width = max(int(vocabulary_size), 1)
-        lengths = np.fromiter(
-            (len(ids) for ids in id_arrays), dtype=np.int64, count=n
-        )
-        if int(lengths.sum()):
-            ids_cat = np.concatenate(
-                [
-                    np.asarray(ids, dtype=np.int64)
-                    for ids in id_arrays
-                    if len(ids)
-                ]
-            )
-        else:
-            ids_cat = np.zeros(0, dtype=np.int64)
-        (
-            indptr,
-            cols,
-            doc_data,
-            query_data,
-            self.idf_per_column,
-            self.avgdl,
-        ) = kernels.bm25_build(
-            ids_cat, lengths, vocabulary_size, params.k1, params.b
-        )
-        shape = (n, width)
-        self.doc_side = sparse.csr_matrix(
-            (doc_data, cols, indptr), shape=shape
-        )
-        self.query_side = sparse.csr_matrix(
-            (query_data, cols, indptr), shape=shape
-        )
-
-    def scores(self, query_ids: Sequence[int]) -> np.ndarray:
-        """BM25 relevance of every document to the id-encoded *query*."""
-        result = np.zeros(self.num_docs, dtype=np.float64)
-        if self.num_docs == 0 or len(query_ids) == 0:
-            return result
-        query_vector = np.zeros(self.vocabulary_size, dtype=np.float64)
-        matched = False
-        for token_id in query_ids:
-            if 0 <= token_id < self.vocabulary_size:
-                weight = self.idf_per_column[token_id]
-                if weight > 0.0:
-                    query_vector[token_id] += weight
-                    matched = True
-        if not matched:
-            return result
-        return kernels.csr_matvec(
-            self.doc_side.data,
-            self.doc_side.indices,
-            self.doc_side.indptr,
-            self.doc_side.shape,
-            query_vector,
-        )
-
-    def pairwise_matrix(self) -> np.ndarray:
-        """All-pairs ``M[i, j] = score(doc_i as query, doc_j)``, zero
-        diagonal -- see :meth:`BM25.pairwise_matrix`."""
-        n = self.num_docs
-        if n == 0:
-            return np.zeros((0, 0), dtype=np.float64)
-        # Both sides share one canonically ordered CSR structure, so the
-        # kernel's private re-sort is a no-op permutation.
-        return kernels.bm25_day_matrix(
-            self.query_side.data,
-            self.doc_side.data,
-            self.doc_side.indices,
-            self.doc_side.indptr,
-            self.doc_side.shape,
+            self._query_data, self._doc_data, self._cols, self._indptr,
+            self._shape,
         )

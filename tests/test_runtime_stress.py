@@ -72,27 +72,6 @@ class TestTokenCacheStress:
         assert stats.hits == total_lookups - len(texts)
         assert len(cache) == len(texts)
 
-    def test_racing_token_ids_share_one_vocabulary(self):
-        cache = TokenCache()
-        texts = self._texts(100)
-
-        def hammer(worker_id: int):
-            return [tuple(cache.token_ids(text)) for text in texts]
-
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            outcomes = list(pool.map(hammer, range(THREADS)))
-
-        reference = outcomes[0]
-        for outcome in outcomes[1:]:
-            assert outcome == reference
-        # Round-tripping ids through the shared vocabulary recovers the
-        # token streams -- no id was clobbered by a racing intern.
-        for text, ids in zip(texts, reference):
-            tokens = cache.tokens(text)
-            assert tuple(
-                cache.vocabulary.token(i) for i in ids
-            ) == tokens
-
 
 class TestRealtimeConcurrencyStress:
     @pytest.fixture(scope="class")

@@ -272,4 +272,4 @@ class TestCorruption:
         cache = TokenCache()
         with pytest.raises(SnapshotError):
             SearchEngine.load_snapshot(bad, cache=cache)
-        assert len(cache) == 0 and len(cache.vocabulary) == 0
+        assert len(cache) == 0

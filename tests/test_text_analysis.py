@@ -2,8 +2,6 @@
 
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from repro.core.pipeline import Wilson, WilsonConfig
 from repro.obs.trace import Tracer
 from repro.text.analysis import (
@@ -54,14 +52,6 @@ class TestTokenCache:
         assert list(cache.tokens(TEXTS[0])) == tokenize_for_matching(
             TEXTS[0], stem=False, drop_stopwords=False
         )
-
-    def test_token_ids_round_trip(self):
-        cache = TokenCache()
-        ids = cache.token_ids(TEXTS[0])
-        assert ids.dtype == np.int32
-        tokens = [cache.vocabulary.token(int(i)) for i in ids]
-        assert tokens == list(cache.tokens(TEXTS[0]))
-        assert cache.token_ids(TEXTS[0]) is ids
 
     def test_contains_and_clear(self):
         cache = TokenCache()
@@ -161,13 +151,6 @@ class TestPipelineCacheSmoke:
         wilson.summarize(tiny_pool, tracer=tracer)
         assert tracer.counters["analysis.cache_misses"] == 0
         assert tracer.counters["analysis.cache_hits"] > 0
-
-    def test_cache_disabled_leaves_no_cache(self, tiny_pool):
-        wilson = Wilson(WilsonConfig(num_dates=5, analysis_cache=False))
-        tracer = Tracer()
-        wilson.summarize(tiny_pool, tracer=tracer)
-        assert wilson.cache is None
-        assert "analysis.cache_hits" not in tracer.counters
 
 
 def test_cache_stats_defaults():
