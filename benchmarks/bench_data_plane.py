@@ -95,7 +95,9 @@ def _worker_fleet(topology, replicas_per_shard=1, slow_first=0.0):
 
 def _query_mix(index, count):
     by_df = sorted(
-        index._postings, key=index.document_frequency, reverse=True
+        index.tokens_with_postings(),
+        key=index.document_frequency,
+        reverse=True,
     )
     heavy = [t for t in by_df if len(t) > 2][:12] or by_df[:12]
     pairs = list(itertools.combinations(heavy, 2))

@@ -1,14 +1,16 @@
 """Zero-copy snapshot tier benchmark: mmap boot speed + fleet memory.
 
-Three claims about the ``wilson.snapshot/v2`` mmap serving tier
-(:mod:`repro.search.snapshot`, :mod:`repro.search.mapped`):
+Two claims about the ``wilson.snapshot/v2`` mmap serving tier
+(:mod:`repro.search.snapshot`), plus one recorded figure:
 
-1. **Boot (opt-in, ``BENCH_ASSERT=1``)**: booting a serve process to its
-   first ``/healthz`` 200 from a snapshot in ``mmap`` mode is >= 3x
-   faster than in ``copy`` mode -- mapping sections is O(page-fault)
-   while copying verifies every section and rebuilds every postings
-   dict. Neither boot seeds a token cache, so this is the index alone;
-   ``bench_cold_path.py`` times the full ``serve --snapshot`` restore.
+1. **Boot (recorded, no gate)**: seconds from a snapshot restore to a
+   serve process's first ``/healthz`` 200, in ``mmap`` and ``copy``
+   mode. Both modes read the same section arrays (copy reads them into
+   owned memory after verifying every checksum), so copy boots only a
+   few milliseconds slower; the 2-core measurements are in
+   ``baselines/BENCH_mmap_boot.json``. Neither boot seeds a token
+   cache, so this is the index alone; ``bench_cold_path.py`` times the
+   full ``serve --snapshot`` restore.
 2. **Fleet memory (opt-in, ``BENCH_ASSERT=1``)**: 4 workers mapping the
    same snapshot add at most 1.5x the *unique* index memory of a
    single worker. Per-worker deltas come from
@@ -273,13 +275,6 @@ def test_mmap_boot(benchmark, capsys, json_out, tmp_path):
         json_out,
     )
 
-    assert_if_opted_in(
-        boot_speedup >= 3.0,
-        f"expected mmap boot >= 3x faster than copy, got "
-        f"copy={boots['v2_copy'] * 1e3:.1f}ms "
-        f"mmap={boots['v2_mmap'] * 1e3:.1f}ms ({boot_speedup:.1f}x)",
-        capsys,
-    )
     assert_if_opted_in(
         rss_ratio_mmap <= 1.5,
         f"expected 4 mmap workers to add <= 1.5x one worker's unique "

@@ -67,7 +67,9 @@ def _build_system():
 def _query_mix(index, count):
     """*count* distinct full-window multi-term ``/v1/search`` paths."""
     by_df = sorted(
-        index._postings, key=index.document_frequency, reverse=True
+        index.tokens_with_postings(),
+        key=index.document_frequency,
+        reverse=True,
     )
     heavy = [t for t in by_df if len(t) > 2][:12] or by_df[:12]
     pairs = list(itertools.combinations(heavy, 2))

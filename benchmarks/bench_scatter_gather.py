@@ -66,7 +66,9 @@ def _query_mix(index, count):
     queries also defeat any OS-level locality artifacts).
     """
     by_df = sorted(
-        index._postings, key=index.document_frequency, reverse=True
+        index.tokens_with_postings(),
+        key=index.document_frequency,
+        reverse=True,
     )
     heavy = [t for t in by_df if len(t) > 2][:12] or by_df[:12]
     pairs = list(itertools.combinations(heavy, 2))

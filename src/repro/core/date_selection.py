@@ -39,7 +39,7 @@ import numpy as np
 from repro.graph.graphs import WeightedDigraph
 from repro.graph.pagerank import DEFAULT_DAMPING, pagerank, pagerank_matrix
 from repro.obs.trace import Tracer, ensure_tracer
-from repro.text.analysis import TokenCache, tokenize_with
+from repro.text.analysis import TokenCache, analyze_query, tokenize_with
 from repro.text.bm25 import BM25
 from repro.tlsdata.types import DatedSentence
 
@@ -190,7 +190,7 @@ class DateReferenceGraph:
         tokenised = tokenize_with(
             cache, [sentence.text for sentence in references]
         )
-        query_tokens = tokenize_with(cache, [" ".join(query)])[0]
+        query_tokens = analyze_query(cache, query)
         bm25 = BM25(tokenised)
         return [float(v) for v in bm25.scores(query_tokens)]
 

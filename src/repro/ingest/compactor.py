@@ -1,10 +1,10 @@
 """Folding sealed segments back into a fresh base index.
 
-Compaction replays the overlay's documents -- base first, then every
-sealed segment in order -- through :meth:`InvertedIndex.add` into a
-fresh index, then atomically swaps it in as the new base
-(:meth:`LiveIndex.replace_base`). Replaying the same documents in the
-same order is what makes the guarantee trivial: the compacted index
+Compaction merges the overlay's section arrays -- base first, then
+every sealed segment in order -- into one fresh index
+(:meth:`InvertedIndex.concat`), then atomically swaps it in as the new
+base (:meth:`LiveIndex.replace_base`). A merge of the same documents in
+the same order is what makes the guarantee trivial: the compacted index
 *is* the cold re-index of the streamed corpus, so a snapshot written
 from it is byte-identical to one written after a cold re-index
 (asserted by ``tests/test_ingest_plane.py``).
@@ -88,35 +88,14 @@ class Compactor:
             state = live._state  # one consistent (base, segments) view
             base, segments = state.base, state.segments
             if segments:
-                fresh = InvertedIndex(cache=live.cache)
-                for doc_id in range(base.num_documents):
-                    document = base.document(doc_id)
-                    fresh.add(
-                        document.text,
-                        date=document.date,
-                        publication_date=document.publication_date,
-                        article_id=document.article_id,
-                        is_reference=document.is_reference,
-                    )
-                for segment in segments:
-                    for local in range(segment.documents):
-                        document = segment.index.document(local)
-                        fresh.add(
-                            document.text,
-                            date=document.date,
-                            publication_date=document.publication_date,
-                            article_id=document.article_id,
-                            is_reference=document.is_reference,
-                        )
-                # Replaying bumps the version once per document; restore
-                # the overlay's revision (covers a base restored with a
-                # version ahead of its document count).
-                fresh.advance_version(
-                    base.index_version
-                    + sum(s.version_span for s in segments)
+                # One merge of the section arrays, base then segments in
+                # seal order: the documents, doc ids and version (the
+                # sum of the parts') the overlay already serves.
+                compacted = InvertedIndex.concat(
+                    [base, *(segment.index for segment in segments)],
+                    cache=live.cache,
                 )
-                live.replace_base(fresh, folded_segments=len(segments))
-                compacted: InvertedIndex = fresh
+                live.replace_base(compacted, folded_segments=len(segments))
             else:
                 compacted = base
             written: Optional[pathlib.Path] = None

@@ -1,10 +1,10 @@
 """The live read overlay: base snapshot + sealed delta segments.
 
 :class:`LiveIndex` presents the full :class:`~repro.search.index.
-InvertedIndex` read API over a *base* index (classic, or a zero-copy
-:class:`~repro.search.mapped.MappedSnapshotIndex`) plus an ordered
-tuple of sealed :class:`~repro.ingest.segment.Segment`\\ s, merging
-postings, document-frequency and length statistics at query time. BM25
+InvertedIndex` read API over a *base* index (owned arrays, or the
+read-only views of a mapped snapshot) plus an ordered tuple of sealed
+:class:`~repro.ingest.segment.Segment`\\ s, merging postings,
+document-frequency and length statistics at query time. BM25
 statistics are additive integers (see ``InvertedIndex.total_length``),
 so the merged view scores -- and tie-breaks -- *bit-identically* to a
 single index holding the same documents in the same order: base
@@ -42,8 +42,11 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.ingest.segment import Segment
-from repro.search.index import IndexedSentence, InvertedIndex
+from repro.search.columns import group_by_date
+from repro.search.index import IndexedSentence, InvertedIndex, select_dates
 from repro.text.analysis import TokenCache
 
 __all__ = ["LiveIndex"]
@@ -59,10 +62,27 @@ class _LiveState(NamedTuple):
 
     base: InvertedIndex
     segments: Tuple[Segment, ...]
+    #: ``(index, global_offset)`` of the base, then of every segment.
+    subs: Tuple[Tuple[InvertedIndex, int], ...]
+    base_docs: int
     offsets: Tuple[int, ...]
     total_docs: int
     total_length: int
     version: int
+    #: ``(date_unique, date_indptr, date_doc_ids)`` over global doc ids.
+    dates: Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _date_grouping(
+    subs: Tuple[Tuple[InvertedIndex, int], ...]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The overlay's doc ids grouped by content date, as one index of
+    the same documents holds them. Global doc ids run through the base,
+    then each segment in seal order, so the per-document dates are the
+    sub-indexes' ``doc_dates`` sections end to end."""
+    return group_by_date(
+        np.concatenate([sub.sections()["doc_dates"] for sub, _ in subs])
+    )
 
 
 def _make_state(
@@ -77,27 +97,39 @@ def _make_state(
         cursor += segment.documents
         total_length += segment.index.total_length
         version += segment.version_span
+    subs = ((base, 0),) + tuple(
+        (segment.index, offset) for segment, offset in zip(segments, offsets)
+    )
     return _LiveState(
         base=base,
         segments=segments,
+        subs=subs,
+        base_docs=base.num_documents,
         offsets=tuple(offsets),
         total_docs=cursor,
         total_length=total_length,
         version=version,
+        dates=_date_grouping(subs),
     )
 
 
 class LiveIndex(InvertedIndex):
-    """Read-only merge view of a base index and sealed delta segments."""
+    """Read-only merge view of a base index and sealed delta segments.
+
+    The date reads (:meth:`dates`, :meth:`doc_ids_in_range`,
+    :meth:`documents_on`, :meth:`date_histogram`) and
+    :meth:`phrase_match` are the base class's, over this overlay's
+    :meth:`date_window` and :meth:`positions`.
+    """
 
     def __init__(
         self,
         base: InvertedIndex,
         cache: Optional[TokenCache] = None,
     ) -> None:
-        # Deliberately no super().__init__(): like MappedSnapshotIndex,
-        # the dict-based state it would build is never used -- every
-        # base-class method touching it is overridden below.
+        # Deliberately no super().__init__(): the overlay holds no
+        # section arrays of its own -- every base-class method touching
+        # them is overridden below.
         self.cache = cache if cache is not None else base.cache
         self._mutate = threading.Lock()
         self._state = _make_state(base, ())
@@ -108,6 +140,9 @@ class LiveIndex(InvertedIndex):
 
     def append_segment(self, segment: Segment) -> int:
         """Overlay a sealed *segment*; returns the new index version."""
+        # Fold the segment's buffered documents into its arrays before
+        # any reader can see it: once published it is only ever read.
+        segment.index.sections()
         with self._mutate:
             state = self._state
             new_state = _make_state(
@@ -222,32 +257,14 @@ class LiveIndex(InvertedIndex):
         state: _LiveState, doc_id: int
     ) -> Tuple[InvertedIndex, int, int]:
         """``(sub_index, local_id, global_offset)`` owning *doc_id*."""
-        base_docs = state.base.num_documents
-        if 0 <= doc_id < base_docs:
+        if 0 <= doc_id < state.base_docs:
             return state.base, doc_id, 0
-        k = bisect.bisect_right(state.offsets, doc_id) - 1
-        if k >= 0:
-            segment = state.segments[k]
-            local = doc_id - state.offsets[k]
-            if 0 <= local < segment.documents:
-                return segment.index, local, state.offsets[k]
+        if state.base_docs <= doc_id < state.total_docs:
+            # Segments tile [base_docs, total_docs) in seal order.
+            k = bisect.bisect_right(state.offsets, doc_id) - 1
+            offset = state.offsets[k]
+            return state.segments[k].index, doc_id - offset, offset
         raise IndexError(f"doc_id {doc_id} out of range")
-
-    @staticmethod
-    def _ids_on(sub: InvertedIndex, date: datetime.date):
-        """One sub-index's doc ids for *date*, in insertion order."""
-        by_date = getattr(sub, "_by_date", None)
-        if by_date is not None:
-            return by_date.get(date, ())
-        return sub.doc_ids_in_range(date, date)
-
-    def _subs(
-        self, state: _LiveState
-    ) -> List[Tuple[InvertedIndex, int]]:
-        return [(state.base, 0)] + [
-            (segment.index, offset)
-            for segment, offset in zip(state.segments, state.offsets)
-        ]
 
     # -- reads --------------------------------------------------------------
 
@@ -263,13 +280,6 @@ class LiveIndex(InvertedIndex):
     def total_length(self) -> int:
         return self._state.total_length
 
-    @property
-    def average_length(self) -> float:
-        state = self._state
-        if not state.total_docs:
-            return 0.0
-        return state.total_length / state.total_docs
-
     def document(self, doc_id: int) -> IndexedSentence:
         state = self._state
         sub, local, offset = self._route(state, doc_id)
@@ -283,17 +293,15 @@ class LiveIndex(InvertedIndex):
         return sub.document_length(local)
 
     def document_frequency(self, token: str) -> int:
-        state = self._state
-        return state.base.document_frequency(token) + sum(
-            segment.index.document_frequency(token)
-            for segment in state.segments
+        return sum(
+            sub.document_frequency(token) for sub, _ in self._state.subs
         )
 
     def postings(self, token: str) -> Dict[int, int]:
         state = self._state
-        merged = dict(state.base.postings(token))
-        for segment, offset in zip(state.segments, state.offsets):
-            for local, tf in segment.index.postings(token).items():
+        merged = state.base.postings(token)
+        for sub, offset in state.subs[1:]:
+            for local, tf in sub.postings(token).items():
                 merged[local + offset] = tf
         return merged
 
@@ -301,109 +309,39 @@ class LiveIndex(InvertedIndex):
         sub, local, _ = self._route(self._state, doc_id)
         return sub.positions(token, local)
 
-    def phrase_match(self, tokens: List[str], doc_id: int) -> bool:
-        sub, local, _ = self._route(self._state, doc_id)
-        return sub.phrase_match(tokens, local)
-
     def vocabulary_size(self) -> int:
         return sum(1 for _ in self.tokens_with_postings())
 
     def tokens_with_postings(self) -> Iterator[str]:
-        state = self._state
         seen = set()
-        for sub, _ in self._subs(state):
+        for sub, _ in self._state.subs:
             for token in sub.tokens_with_postings():
                 if token not in seen:
                     seen.add(token)
                     yield token
 
-    def postings_map(self) -> Dict[str, Dict[int, List[int]]]:
-        """Materialise the merged positional mapping (writer accessor).
+    def sections(self) -> Dict[str, np.ndarray]:
+        """The sections of one index holding the overlay's documents."""
+        return self._merged().sections()
 
-        Token order is first occurrence across base-then-segments,
-        per-token doc ids ascending -- exactly the order a single index
-        fed the same documents in the same sequence would hold, so
-        snapshotting the overlay equals snapshotting that index.
-        """
-        state = self._state
-        merged: Dict[str, Dict[int, List[int]]] = {}
-        for sub, offset in self._subs(state):
-            for token, entries in sub.postings_map().items():
-                target = merged.setdefault(token, {})
-                for local, positions in entries.items():
-                    target[local + offset] = list(positions)
-        return merged
+    def subset(self, doc_ids) -> InvertedIndex:
+        return self._merged().subset(doc_ids)
+
+    def _merged(self) -> InvertedIndex:
+        return InvertedIndex.concat(
+            [sub for sub, _ in self._state.subs], cache=self.cache
+        )
 
     # -- date access --------------------------------------------------------
 
-    def dates(self) -> List[datetime.date]:
-        state = self._state
-        merged = set(state.base.dates())
-        for segment in state.segments:
-            merged.update(segment.index.dates())
-        return sorted(merged)
-
-    def doc_ids_in_range(
+    def date_window(
         self,
         start: Optional[datetime.date] = None,
         end: Optional[datetime.date] = None,
-    ) -> Iterator[int]:
-        state = self._state
-        subs = self._subs(state)
-        for date in self.dates():
-            if start is not None and date < start:
-                continue
-            if end is not None and date > end:
-                break
-            for sub, offset in subs:
-                for doc_id in self._ids_on(sub, date):
-                    yield doc_id + offset
-
-    def documents_on(self, date: datetime.date) -> List[IndexedSentence]:
-        state = self._state
-        documents: List[IndexedSentence] = []
-        for sub, offset in self._subs(state):
-            for doc_id in self._ids_on(sub, date):
-                document = sub.document(doc_id)
-                if offset:
-                    document = dataclasses.replace(
-                        document, doc_id=doc_id + offset
-                    )
-                documents.append(document)
-        return documents
-
-    def date_histogram(
-        self,
-        interval_days: int = 1,
-        start: Optional[datetime.date] = None,
-        end: Optional[datetime.date] = None,
-    ) -> Dict[datetime.date, int]:
-        if interval_days < 1:
-            raise ValueError(
-                f"interval_days must be >= 1, got {interval_days}"
-            )
-        state = self._state
-        per_date: Dict[datetime.date, int] = {}
-        for sub, _ in self._subs(state):
-            for date, count in sub.date_histogram(
-                1, start=start, end=end
-            ).items():
-                per_date[date] = per_date.get(date, 0) + count
-        counts: Dict[datetime.date, int] = {}
-        dates = sorted(per_date)
-        if not dates:
-            return counts
-        origin = start if start is not None else dates[0]
-        for date in dates:
-            offset = (date - origin).days // interval_days
-            bucket = origin + datetime.timedelta(
-                days=offset * interval_days
-            )
-            counts[bucket] = counts.get(bucket, 0) + per_date[date]
-        return counts
-
-    def __len__(self) -> int:
-        return self._state.total_docs
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The merged date grouping is built once per seal, off the read
+        # path, so a read costs what it costs on one index.
+        return select_dates(*self._state.dates, start, end)
 
     def __repr__(self) -> str:
         state = self._state

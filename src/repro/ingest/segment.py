@@ -29,13 +29,12 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.search.columns import pack_strings, unpack_strings
 from repro.search.engine import expand_article
 from repro.search.index import InvertedIndex
 from repro.search.snapshot import (
     SnapshotError,
-    _pack_strings,
     _read_header,
-    _unpack_strings,
     read_section_file,
     write_section_file,
 )
@@ -130,8 +129,8 @@ def write_segment(segment: Segment, path: PathLike) -> Segment:
     """
     path = pathlib.Path(path)
     docs = [segment.index.document(i) for i in range(segment.documents)]
-    texts_buf, texts_indptr = _pack_strings([d.text for d in docs])
-    articles_buf, articles_indptr = _pack_strings(
+    texts_buf, texts_indptr = pack_strings([d.text for d in docs])
+    articles_buf, articles_indptr = pack_strings(
         [d.article_id for d in docs]
     )
     arrays = {
@@ -199,10 +198,10 @@ def load_segment(
             f"{analyzer!r} does not match the provided cache"
         )
     try:
-        texts = _unpack_strings(
+        texts = unpack_strings(
             arrays["texts_buf"], arrays["texts_indptr"]
         )
-        article_ids = _unpack_strings(
+        article_ids = unpack_strings(
             arrays["articles_buf"], arrays["articles_indptr"]
         )
         dates = arrays["doc_dates"].tolist()

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.graph.pagerank import DEFAULT_DAMPING, pagerank_matrix
 from repro.obs.trace import Tracer
-from repro.text.analysis import TokenCache, tokenize_with
+from repro.text.analysis import TokenCache, analyze_query, tokenize_with
 from repro.text.bm25 import BM25, BM25Parameters
 
 #: Default per-sentence neighbour cap for the BM25 TextRank graph. Days
@@ -171,7 +171,7 @@ def textrank_bm25(
     if query_bias > 0.0 and query:
         if index is None:
             index = BM25(tokenize_with(cache, sentences), params)
-        query_tokens = tokenize_with(cache, [" ".join(query)])[0]
+        query_tokens = analyze_query(cache, query)
         relevance = index.scores(query_tokens)
         total = relevance.sum()
         n = len(sentences)

@@ -5,7 +5,8 @@ ElasticSearch and serves keyword + time-window queries. This package
 provides the same contract in-process:
 
 * :mod:`repro.search.index` -- an incremental inverted index with date
-  fields;
+  fields, held as the snapshot's section arrays
+  (:mod:`repro.search.columns`);
 * :mod:`repro.search.query` -- BM25-ranked keyword queries with date-range
   filtering;
 * :mod:`repro.search.engine` -- the high-level :class:`SearchEngine`;
@@ -13,8 +14,8 @@ provides the same contract in-process:
   query-to-timeline pipeline of Figure 7;
 * :mod:`repro.search.snapshot` -- the index's one on-disk form, the
   page-aligned ``wilson.snapshot/v2`` file with per-section checksums:
-  mapped zero-copy for serving (through :mod:`repro.search.mapped`) or
-  copied into a mutable index.
+  mapped zero-copy for serving (a read-only index over the file's
+  pages) or copied into a mutable index.
 """
 
 from repro.search.engine import SearchEngine

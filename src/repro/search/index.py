@@ -8,21 +8,33 @@ published news articles ... by inserting them into the existing search
 engine"); BM25 statistics (document frequencies, average length) update
 incrementally.
 
-Postings are *positional* (``token -> {doc_id: [positions]}``), which the
-query layer uses for exact phrase matching. The index persists as a
-binary snapshot (:meth:`InvertedIndex.save_snapshot`, see
-:mod:`repro.search.snapshot`).
+The index holds the ``wilson.snapshot/v2`` section arrays
+(:mod:`repro.search.columns`) and reads straight from them: owned arrays
+after a build or ``load_snapshot(mode="copy")``, read-only views of the
+file's shared pages after ``mode="mmap"`` (where :meth:`InvertedIndex.add`
+raises ``TypeError``). :meth:`~InvertedIndex.add` appends to a pending
+buffer; the next read folds the buffer in, under a lock, through
+:func:`repro.search.columns.merge`. Postings are *positional*, which the
+query layer uses for exact phrase matching.
+
+Every read returns plain Python values in a fixed order -- ``postings()``
+iterates ascending doc id, date walks go by ascending date and, within a
+date, doc id -- so serialised responses are byte-identical whichever way
+the index was built or loaded.
 """
 
 from __future__ import annotations
 
 import datetime
 import pathlib
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.search import columns as col
 from repro.text.analysis import TokenCache
-from repro.text.tokenize import tokenize_for_matching
 
 PathLike = Union[str, pathlib.Path]
 
@@ -43,7 +55,7 @@ class InvertedIndex:
     """Token -> positional postings with incremental BM25 statistics.
 
     Postings map ``doc_id`` to the sorted list of token positions within
-    the document; sorted-by-date secondary structures support efficient
+    the document; doc ids grouped by content date support efficient
     date-range filtering.
     """
 
@@ -53,12 +65,27 @@ class InvertedIndex:
         #: re-tokenised by the summarisation pipeline -- with a shared
         #: cache all of that is one tokenisation per distinct text.
         self.cache = cache
-        self._postings: Dict[str, Dict[int, List[int]]] = {}
-        self._documents: List[IndexedSentence] = []
-        self._doc_lengths: List[int] = []
-        self._total_length = 0
-        self._by_date: Dict[datetime.date, List[int]] = {}
+        self._columns = col.empty()
+        #: The mapped snapshot behind a read-only index, else ``None``.
+        self._table = None
+        self._pending: List[col.Document] = []
+        self._lock = threading.Lock()
         self._version = 0
+        self._docs: Dict[int, IndexedSentence] = {}
+
+    @classmethod
+    def _of(
+        cls,
+        columns: col.Columns,
+        version: int,
+        cache: Optional[TokenCache],
+        table=None,
+    ) -> "InvertedIndex":
+        index = cls(cache=cache)
+        index._columns = columns
+        index._table = table
+        index._version = int(version)
+        return index
 
     @property
     def index_version(self) -> int:
@@ -73,12 +100,7 @@ class InvertedIndex:
         return self._version
 
     def advance_version(self, version: int) -> None:
-        """Raise :attr:`index_version` to *version* (never backwards).
-
-        Compaction (:mod:`repro.ingest.compactor`) replays documents
-        into a fresh index and then restores the live revision so cache
-        keys minted against the overlay stay comparable.
-        """
+        """Raise :attr:`index_version` to *version* (never backwards)."""
         self._version = max(self._version, int(version))
 
     # -- writes -------------------------------------------------------------
@@ -91,43 +113,91 @@ class InvertedIndex:
         article_id: str = "",
         is_reference: bool = False,
     ) -> int:
-        """Index one sentence; returns its document id."""
-        doc_id = len(self._documents)
-        tokens = (
-            self.cache.tokens(text)
-            if self.cache is not None
-            else tokenize_for_matching(text)
+        """Index one sentence; returns its document id.
+
+        The document is buffered and folded into the arrays by the next
+        read, so a batch of adds costs one vectorised rebuild.
+        """
+        if self._table is not None:
+            raise TypeError(
+                "a mapped index is a read-only view over snapshot "
+                "pages; load with mode='copy' to get a mutable index"
+            )
+        with self._lock:
+            self._pending.append(
+                (text, date, publication_date, article_id, is_reference)
+            )
+            self._version += 1
+            return self._columns.num_documents + len(self._pending) - 1
+
+    def _current(self) -> col.Columns:
+        """The section set, with any pending documents folded in."""
+        if self._pending:
+            with self._lock:
+                if self._pending:
+                    part = col.documents(self._pending, self.cache)
+                    self._columns = col.merge([self._columns, part])
+                    self._pending = []
+        return self._columns
+
+    # -- the section arrays ---------------------------------------------------
+
+    def sections(self) -> Dict[str, np.ndarray]:
+        """Every section array, by name (read-only views when mapped)."""
+        current = self._current()
+        return {name: current[name] for name, _ in col.SECTIONS}
+
+    @classmethod
+    def concat(
+        cls,
+        indexes: Sequence["InvertedIndex"],
+        cache: Optional[TokenCache] = None,
+    ) -> "InvertedIndex":
+        """One index holding every document of *indexes*, in order.
+
+        Its version is the sum of theirs: the version the same
+        :meth:`add` calls on one index would have reached.
+        """
+        return InvertedIndex._of(
+            col.merge([index._current() for index in indexes]),
+            sum(index.index_version for index in indexes),
+            cache,
         )
-        document = IndexedSentence(
-            doc_id=doc_id,
-            text=text,
-            date=date,
-            publication_date=publication_date,
-            article_id=article_id,
-            is_reference=is_reference,
+
+    def subset(self, doc_ids: Sequence[int]) -> "InvertedIndex":
+        """A new index of the documents *doc_ids*, in that order.
+
+        They are renumbered ``0..len(doc_ids)-1``; the new index shares
+        this one's cache and carries its version.
+        """
+        return InvertedIndex._of(
+            col.cut(self._current(), np.asarray(doc_ids, dtype=np.int64)),
+            self.index_version,
+            self.cache,
         )
-        self._documents.append(document)
-        self._doc_lengths.append(len(tokens))
-        self._total_length += len(tokens)
-        self._version += 1
-        self._by_date.setdefault(date, []).append(doc_id)
-        for position, token in enumerate(tokens):
-            self._postings.setdefault(token, {}).setdefault(
-                doc_id, []
-            ).append(position)
-        return doc_id
+
+    @property
+    def mapped_sections(self) -> int:
+        """Number of snapshot sections served from mapped pages."""
+        return len(self._table) if self._table is not None else 0
+
+    @property
+    def mapped_bytes(self) -> int:
+        """Bytes of section data behind the mapped views (no padding)."""
+        return self._table.mapped_bytes if self._table is not None else 0
 
     # -- reads --------------------------------------------------------------
 
     @property
     def num_documents(self) -> int:
-        return len(self._documents)
+        return self._current().num_documents
 
     @property
     def average_length(self) -> float:
-        if not self._documents:
+        num_documents = self.num_documents
+        if not num_documents:
             return 0.0
-        return self._total_length / len(self._documents)
+        return self.total_length / num_documents
 
     @property
     def total_length(self) -> int:
@@ -140,41 +210,100 @@ class InvertedIndex:
         router re-score candidates with bit-identical BM25 statistics
         (see :func:`repro.search.query.gather_candidates`).
         """
-        return self._total_length
+        return self._current().total_length
 
     def document(self, doc_id: int) -> IndexedSentence:
-        """The indexed sentence with id *doc_id* (raises ``IndexError``)."""
-        return self._documents[doc_id]
+        """The indexed sentence with id *doc_id* (raises ``IndexError``).
+
+        Each document is built once, on first access, from the decoded
+        text and article tables every document shares.
+        """
+        document = self._docs.get(doc_id)
+        if document is None:
+            current = self._current()
+            text_row = int(current["doc_text_row"][doc_id])
+            from_ordinal = datetime.date.fromordinal
+            # Skip the frozen dataclass' per-field __setattr__ round
+            # trips; the instance is indistinguishable.
+            document = IndexedSentence.__new__(IndexedSentence)
+            object.__setattr__(
+                document,
+                "__dict__",
+                {
+                    "doc_id": int(doc_id),
+                    "text": current.strings("texts")[text_row],
+                    "date": from_ordinal(int(current["doc_dates"][doc_id])),
+                    "publication_date": from_ordinal(
+                        int(current["doc_pub_dates"][doc_id])
+                    ),
+                    "article_id": current.strings("articles")[
+                        int(current["doc_article_row"][doc_id])
+                    ],
+                    "is_reference": bool(
+                        current["doc_is_reference"][doc_id]
+                    ),
+                },
+            )
+            self._docs[doc_id] = document
+        return document
 
     def document_length(self, doc_id: int) -> int:
-        return self._doc_lengths[doc_id]
+        return self._current().lengths()[doc_id]
+
+    def _entries(self, token: str):
+        """``(columns, entry_start, entry_stop, doc_ids)`` of *token*, if
+        indexed; every offset refers to the returned section set."""
+        current = self._current()
+        row = current.rows("vocab").get(token)
+        if row is None:
+            return None
+        entry_indptr = current["post_entry_indptr"]
+        start = int(entry_indptr[row])
+        stop = int(entry_indptr[row + 1])
+        if start == stop:
+            return None
+        return current, start, stop, current["post_doc_ids"][start:stop]
 
     def document_frequency(self, token: str) -> int:
         """Number of documents containing *token*."""
-        return len(self._postings.get(token, ()))
+        found = self._entries(token)
+        return 0 if found is None else found[2] - found[1]
 
     def postings(self, token: str) -> Dict[int, int]:
-        """Posting list of *token* as ``{doc_id: tf}`` (a copy)."""
-        return {
-            doc_id: len(positions)
-            for doc_id, positions in self._postings.get(token, {}).items()
-        }
+        """Posting list of *token* as ``{doc_id: tf}``, by ascending doc id."""
+        found = self._entries(token)
+        if found is None:
+            return {}
+        current, start, stop, doc_ids = found
+        tf = current["post_tf"][start:stop]
+        return dict(zip(doc_ids.tolist(), tf.tolist()))
 
     def positions(self, token: str, doc_id: int) -> List[int]:
-        """Positions of *token* within document *doc_id* (a copy)."""
-        return list(self._postings.get(token, {}).get(doc_id, ()))
+        """Positions of *token* within document *doc_id*."""
+        found = self._entries(token)
+        if found is None:
+            return []
+        current, start, _, doc_ids = found
+        # Per-token doc ids ascend, so membership is a binary search.
+        k = int(np.searchsorted(doc_ids, doc_id))
+        if k == len(doc_ids) or int(doc_ids[k]) != doc_id:
+            return []
+        pos_indptr = current["post_pos_indptr"]
+        return current["post_positions"][
+            int(pos_indptr[start + k]) : int(pos_indptr[start + k + 1])
+        ].tolist()
 
     def phrase_match(self, tokens: List[str], doc_id: int) -> bool:
         """Whether *tokens* occur consecutively in document *doc_id*."""
         if not tokens:
             return False
-        first_positions = self._postings.get(tokens[0], {}).get(doc_id)
-        if first_positions is None:
+        first_positions = self.positions(tokens[0], doc_id)
+        if not first_positions:
             return False
         rest = []
         for token in tokens[1:]:
-            positions = self._postings.get(token, {}).get(doc_id)
-            if positions is None:
+            positions = self.positions(token, doc_id)
+            if not positions:
                 return False
             rest.append(set(positions))
         for start in first_positions:
@@ -186,31 +315,49 @@ class InvertedIndex:
         return False
 
     def vocabulary_size(self) -> int:
-        return len(self._postings)
+        """Number of tokens with at least one posting entry."""
+        return int(
+            np.count_nonzero(np.diff(self._current()["post_entry_indptr"]))
+        )
 
     def tokens_with_postings(self) -> Iterator[str]:
-        """Iterate tokens that have at least one posting entry.
+        """Iterate tokens that have at least one posting entry."""
+        current = self._current()
+        entry_counts = np.diff(current["post_entry_indptr"]).tolist()
+        for token, count in zip(current.strings("vocab"), entry_counts):
+            if count:
+                yield token
 
-        The cheap vocabulary accessor shared by every index variant:
-        the live overlay (:class:`repro.ingest.live.LiveIndex`) unions
-        these streams to count the merged vocabulary without
-        materialising full postings maps.
+    # -- date access --------------------------------------------------------
+
+    def date_window(
+        self,
+        start: Optional[datetime.date] = None,
+        end: Optional[datetime.date] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The documents whose content date falls within [start, end].
+
+        Returns ``(date_ordinals, counts, doc_ids)``: the window's
+        distinct content dates ascending, the number of documents on
+        each, and the doc ids by date, then doc id. Every date read
+        below is derived from it.
         """
-        return iter(self._postings)
-
-    def postings_map(self) -> Dict[str, Dict[int, List[int]]]:
-        """The full positional postings mapping, token by token.
-
-        The snapshot writer's bulk accessor. The base index returns its
-        live internal mapping (callers must not mutate it); array-backed
-        views (:class:`repro.search.mapped.MappedSnapshotIndex`)
-        materialise an equivalent mapping on demand.
-        """
-        return self._postings
+        current = self._current()
+        return select_dates(
+            current["date_unique"],
+            current["date_indptr"],
+            current["date_doc_ids"],
+            start,
+            end,
+        )
 
     def dates(self) -> List[datetime.date]:
         """All content dates present in the index, sorted."""
-        return sorted(self._by_date)
+        from_ordinal = datetime.date.fromordinal
+        return [
+            from_ordinal(ordinal)
+            for ordinal in self.date_window()[0].tolist()
+        ]
 
     def doc_ids_in_range(
         self,
@@ -218,18 +365,13 @@ class InvertedIndex:
         end: Optional[datetime.date] = None,
     ) -> Iterator[int]:
         """Iterate doc ids whose content date falls within [start, end]."""
-        for date in sorted(self._by_date):
-            if start is not None and date < start:
-                continue
-            if end is not None and date > end:
-                break
-            yield from self._by_date[date]
+        yield from self.date_window(start, end)[2].tolist()
 
     def documents_on(self, date: datetime.date) -> List[IndexedSentence]:
         """All sentences whose content date equals *date*."""
         return [
-            self._documents[doc_id]
-            for doc_id in self._by_date.get(date, ())
+            self.document(doc_id)
+            for doc_id in self.date_window(date, date)[2].tolist()
         ]
 
     def date_histogram(
@@ -248,45 +390,33 @@ class InvertedIndex:
             raise ValueError(
                 f"interval_days must be >= 1, got {interval_days}"
             )
+        ordinals, per_date, _ = self.date_window(start, end)
         counts: Dict[datetime.date, int] = {}
-        dates = self.dates()
-        if not dates:
+        if not len(ordinals):
             return counts
-        origin = start if start is not None else dates[0]
-        for date in dates:
-            if start is not None and date < start:
-                continue
-            if end is not None and date > end:
-                continue
-            offset = (date - origin).days // interval_days
-            bucket = origin + datetime.timedelta(
-                days=offset * interval_days
-            )
-            counts[bucket] = counts.get(bucket, 0) + len(
-                self._by_date[date]
-            )
+        from_ordinal = datetime.date.fromordinal
+        origin = start if start is not None else from_ordinal(int(ordinals[0]))
+        for ordinal, count in zip(ordinals.tolist(), per_date.tolist()):
+            offset = (from_ordinal(ordinal) - origin).days // interval_days
+            bucket = origin + datetime.timedelta(days=offset * interval_days)
+            counts[bucket] = counts.get(bucket, 0) + count
         return counts
 
     def __len__(self) -> int:
-        return len(self._documents)
+        return self.num_documents
 
     def __repr__(self) -> str:
         return (
-            f"InvertedIndex(documents={len(self)}, "
-            f"vocabulary={self.vocabulary_size()})"
+            f"{type(self).__name__}(documents={len(self)}, "
+            f"vocabulary={self.vocabulary_size()}, "
+            f"mapped_sections={self.mapped_sections})"
         )
 
     # -- persistence ----------------------------------------------------------
 
     def save_snapshot(self, path: PathLike) -> None:
         """Persist the index as a binary snapshot (see
-        :mod:`repro.search.snapshot`).
-
-        The snapshot carries the derived state -- postings, token-id
-        arrays, vocabulary -- so :meth:`load_snapshot` restores in
-        O(read) with zero re-tokenisation, or maps it zero-copy with
-        ``mode="mmap"``.
-        """
+        :mod:`repro.search.snapshot`): its section arrays, unchanged."""
         from repro.search.snapshot import save_snapshot
 
         save_snapshot(self, path)
@@ -301,13 +431,36 @@ class InvertedIndex:
     ) -> "InvertedIndex":
         """Restore an index written by :meth:`save_snapshot`.
 
-        ``mode="copy"`` rebuilds a mutable index; ``mode="mmap"`` maps
-        the snapshot's sections as shared read-only pages instead;
-        ``verify=True`` checks every section checksum eagerly instead of
-        lazily on first access. A given *cache* is seeded in either
-        mode. Raises :class:`repro.search.snapshot.SnapshotError` on a
-        missing, corrupt, or incompatible file.
+        ``mode="copy"`` reads the sections into owned arrays (a mutable
+        index); ``mode="mmap"`` maps them as shared read-only pages
+        instead; ``verify=True`` checks every section checksum eagerly
+        instead of lazily on first access. A given *cache* is seeded in
+        either mode. Raises :class:`repro.search.snapshot.SnapshotError`
+        on a missing, corrupt, or incompatible file.
         """
         from repro.search.snapshot import load_snapshot
 
         return load_snapshot(path, cache=cache, mode=mode, verify=verify)
+
+
+def select_dates(
+    unique: np.ndarray,
+    indptr: np.ndarray,
+    doc_ids: np.ndarray,
+    start: Optional[datetime.date],
+    end: Optional[datetime.date],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`InvertedIndex.date_window` over a date grouping given as
+    its ``date_unique`` / ``date_indptr`` / ``date_doc_ids`` arrays."""
+    lo = 0 if start is None else int(unique.searchsorted(start.toordinal()))
+    hi = (
+        len(unique)
+        if end is None
+        else int(unique.searchsorted(end.toordinal(), "right"))
+    )
+    bounds = indptr[lo : max(lo, hi) + 1]
+    return (
+        unique[lo:hi],
+        bounds[1:] - bounds[:-1],
+        doc_ids[int(bounds[0]) : int(bounds[-1])],
+    )

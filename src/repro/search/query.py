@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.search.index import IndexedSentence, InvertedIndex
-from repro.text.analysis import TokenCache, tokenize_with
+from repro.text.analysis import TokenCache, analyze_query
 from repro.text.bm25 import BM25Parameters
 
 
@@ -106,9 +106,7 @@ def execute(
     """
     if cache is None:
         cache = index.cache
-    query_tokens = list(
-        tokenize_with(cache, [" ".join(query.keywords)])[0]
-    )
+    query_tokens = analyze_query(cache, query.keywords)
     if not query_tokens:
         return []
     n = index.num_documents
@@ -207,9 +205,7 @@ def gather_candidates(
     """
     if cache is None:
         cache = index.cache
-    query_tokens = list(
-        tokenize_with(cache, [" ".join(query.keywords)])[0]
-    )
+    query_tokens = analyze_query(cache, query.keywords)
     terms = tuple(query_tokens)
     frequencies = tuple(
         index.document_frequency(token) for token in terms

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.search.snapshot import _pack_strings, _unpack_strings
+from repro.search.columns import pack_strings, unpack_strings
 
 #: The frame format identifier (meta ``magic`` field).
 RPC_SCHEMA = "wilson.rpc/v1"
@@ -115,12 +115,12 @@ def encode_shard_search(payload: Dict[str, Any]) -> bytes:
         dtype="|u1",
         count=n,
     )
-    text_buffer, text_indptr = _pack_strings(
+    text_buffer, text_indptr = pack_strings(
         [hit["text"] for hit in hits]
     )
     columns["text_buffer"] = text_buffer.astype("|u1", copy=False)
     columns["text_indptr"] = text_indptr.astype("<i8", copy=False)
-    article_buffer, article_indptr = _pack_strings(
+    article_buffer, article_indptr = pack_strings(
         [hit["article_id"] for hit in hits]
     )
     columns["article_id_buffer"] = article_buffer.astype("|u1", copy=False)
@@ -211,10 +211,10 @@ def decode_shard_search(frame: bytes) -> Dict[str, Any]:
         ints = {name: section(name).tolist() for name in _INT_SECTIONS}
         tf_rows = section("tf").tolist()
         is_reference = section("is_reference").tolist()
-        texts = _unpack_strings(
+        texts = unpack_strings(
             section("text_buffer"), section("text_indptr")
         )
-        article_ids = _unpack_strings(
+        article_ids = unpack_strings(
             section("article_id_buffer"), section("article_id_indptr")
         )
         df = section("df").tolist()

@@ -41,6 +41,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
 from repro.search.snapshot import save_snapshot, snapshot_info
@@ -232,10 +234,11 @@ def plan_date_ranges(
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    dates = index.dates()
-    if not dates:
+    ordinals, per_date, _ = index.date_window()
+    if not len(ordinals):
         return [(None, None)] * num_shards
-    counts = [len(index.documents_on(date)) for date in dates]
+    dates = [datetime.date.fromordinal(o) for o in ordinals.tolist()]
+    counts = per_date.tolist()
     total = sum(counts)
     target = total / num_shards
     ranges: List[Tuple[Optional[datetime.date], Optional[datetime.date]]] = []
@@ -276,36 +279,26 @@ def export_slices(
 ) -> Topology:
     """Partition *index* into slice snapshots + manifest under *out_dir*.
 
-    Each slice is a standalone :class:`InvertedIndex` rebuilt from the
-    source documents in its date range (insertion order preserved within
-    the slice, i.e. by date then source order), stamped with the
-    source's ``index_version``, and written as a snapshot whose header
-    carries ``slice`` metadata (shard id, shard count, date range) for
-    O(1) layout introspection via :func:`snapshot_info`. Every worker
-    of a slice maps the same file, so they share its index pages.
+    Each slice is cut from the source's section arrays
+    (:meth:`InvertedIndex.subset`): the documents in its date range, in
+    source date-then-doc-id order, renumbered from 0 and stamped with
+    the source's ``index_version`` -- so one version number describes
+    the whole topology. It is written as a snapshot whose header carries
+    ``slice`` metadata (shard id, shard count, date range) for O(1)
+    layout introspection via :func:`snapshot_info`. Every worker of a
+    slice maps the same file, so they share its index pages.
     """
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ranges = plan_date_ranges(index, num_shards)
     shards: List[ShardSlice] = []
     for shard_id, (start, end) in enumerate(ranges):
-        slice_index = InvertedIndex(cache=index.cache)
-        doc_ids: List[int] = []
-        if start is not None:
-            for doc_id in index.doc_ids_in_range(start, end):
-                document = index.document(doc_id)
-                slice_index.add(
-                    document.text,
-                    date=document.date,
-                    publication_date=document.publication_date,
-                    article_id=document.article_id,
-                    is_reference=document.is_reference,
-                )
-                doc_ids.append(doc_id)
-        # Stamp the slice with the source revision: one version number
-        # must describe the whole topology (merge-cache keys, banner),
-        # and re-insertion would otherwise mint a per-slice count.
-        slice_index._version = index.index_version
+        doc_ids = (
+            index.date_window(start, end)[2]
+            if start is not None
+            else np.zeros(0, dtype=np.int64)
+        )
+        slice_index = index.subset(doc_ids)
         slice_name = f"shard-{shard_id:03d}.snap"
         save_snapshot(
             slice_index,
@@ -324,7 +317,7 @@ def export_slices(
                 start=start,
                 end=end,
                 documents=len(slice_index),
-                doc_ids=tuple(doc_ids),
+                doc_ids=tuple(doc_ids.tolist()),
             )
         )
     topology = Topology(

@@ -19,7 +19,9 @@ owns one for its whole lifetime and the Section 5 real-time system shares
 one between its search engine and its WILSON instance, so repeat query
 traffic pays zero tokenisation. It is thread-safe (the parallel daily
 summariser tokenises from worker threads) and purely additive -- entries
-are never evicted, matching the bounded vocabulary of a news corpus.
+are never evicted, matching the bounded set of indexed texts. Query
+strings are unbounded, so they are analysed beside it
+(:func:`analyze_query`), never stored in it.
 
 Telemetry: the cache keeps cumulative hit/miss/time statistics
 (:meth:`TokenCache.stats`); pipeline stages report *deltas* to their
@@ -236,6 +238,25 @@ def tokenize_with(
     if cache is not None:
         return list(cache.tokens_many(texts))
     return [tokenize_for_matching(text) for text in texts]
+
+
+def analyze_query(
+    cache: Optional[TokenCache], keywords: Sequence[str]
+) -> List[str]:
+    """The token stream of a query's joined *keywords*, never cached.
+
+    Analysed with *cache*'s settings (the defaults without one) but not
+    stored in it: the cache never evicts, and queries -- unlike indexed
+    texts -- are unbounded, so a cached query string per distinct
+    request would grow a serving process with its traffic.
+    """
+    if cache is None:
+        return tokenize_for_matching(" ".join(keywords))
+    return tokenize_for_matching(
+        " ".join(keywords),
+        stem=cache.stem,
+        drop_stopwords=cache.drop_stopwords,
+    )
 
 
 class AnalyzedCorpus:

@@ -11,6 +11,7 @@ before -- including a cache seeded from a snapshot.
 import dataclasses
 import datetime
 import functools
+import itertools
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.core.daily import DailySummarizer
 from repro.core.pipeline import Wilson, WilsonConfig
 from repro.core.postprocess import assemble_timeline
 from repro.search.engine import SearchEngine
+from repro.search.realtime import RealTimeTimelineSystem
 from repro.serve.app import canonical_json
 from repro.text.analysis import TokenCache
 from repro.tlsdata.synthetic import (
@@ -144,6 +146,32 @@ class TestSeededCacheEquivalence:
             for pipeline in (wilson, Wilson())
         ]
         assert served[0] == served[1]
+
+    def test_queries_never_grow_the_cache(self, seeded):
+        # The seeded cache already holds every indexed text; query
+        # strings are analysed beside it, so serving 50 distinct
+        # requests adds no entry.
+        wilson, engine = seeded
+        system = RealTimeTimelineSystem(
+            engine=engine, wilson=wilson, cache=wilson.cache
+        )
+        words = ("yilmaz", "klein", "duarte", "offensive", "toure",
+                 "weber", "government", "rescue", "talks", "attack")
+        queries = list(itertools.combinations(words, 2)) + [
+            (word,) for word in words[:5]
+        ]
+        dates = engine.index.dates()
+        before = len(wilson.cache)
+        for k, keywords in enumerate(queries):
+            start = dates[(k * 7) % (len(dates) // 2)]
+            system.generate_timeline(
+                keywords,
+                start=start,
+                end=start + datetime.timedelta(days=30 + k),
+                num_dates=5,
+                num_sentences=1,
+            )
+        assert len(wilson.cache) == before
 
 
 class TestVectorizedPostprocessEquivalence:

@@ -70,12 +70,27 @@ def snapshot_path(engine, tmp_path_factory):
 def _assert_same_index(restored: InvertedIndex, reference: InvertedIndex):
     assert len(restored) == len(reference)
     assert restored.index_version == reference.index_version
-    assert restored._postings == reference._postings
-    assert restored._by_date == reference._by_date
-    assert restored._doc_lengths == reference._doc_lengths
-    assert restored._total_length == reference._total_length
+    tokens = list(reference.tokens_with_postings())
+    assert list(restored.tokens_with_postings()) == tokens
+    for token in tokens:
+        postings = reference.postings(token)
+        assert list(restored.postings(token).items()) == list(postings.items())
+        for doc_id in postings:
+            assert restored.positions(token, doc_id) == reference.positions(
+                token, doc_id
+            )
+    assert restored.dates() == reference.dates()
+    for day in reference.dates():
+        assert list(restored.doc_ids_in_range(day, day)) == list(
+            reference.doc_ids_in_range(day, day)
+        )
+    assert restored.total_length == reference.total_length
     for doc_id in range(len(reference)):
         assert restored.document(doc_id) == reference.document(doc_id)
+        assert restored.document_length(doc_id) == reference.document_length(
+            doc_id
+        )
+    assert restored.mapped_sections == 0
 
 
 class TestRoundTrip:

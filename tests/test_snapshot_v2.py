@@ -24,7 +24,6 @@ import pytest
 from repro.core.pipeline import Wilson, WilsonConfig
 from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
-from repro.search.mapped import MappedSnapshotIndex
 from repro.search.query import SearchQuery
 from repro.search.realtime import RealTimeTimelineSystem
 from repro.search.snapshot import (
@@ -125,7 +124,7 @@ def _index_state(index):
         )
         for doc in (index.document(i) for i in range(len(index)))
     ]
-    tokens = sorted(index.postings_map())
+    tokens = sorted(index.tokens_with_postings())
     return {
         "version": index.index_version,
         "num_documents": index.num_documents,
@@ -179,7 +178,6 @@ class TestExactness:
 
     def test_mmap_load_is_a_mapped_view(self, v2_path):
         index = load_snapshot(v2_path, mode="mmap")
-        assert isinstance(index, MappedSnapshotIndex)
         assert index.mapped_sections > 0
         assert index.mapped_bytes > 0
 
