@@ -1,8 +1,13 @@
 """Tests for the inverted index."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.search.index import InvertedIndex
+from repro.text.analysis import TokenCache
 from tests.conftest import d
 
 
@@ -34,6 +39,55 @@ class TestWrites:
         )
         assert index.num_documents == before + 1
         assert index.average_length != avgdl_before
+
+
+    def test_concurrent_adds_and_folding_reads_lose_nothing(self):
+        # Writers buffer documents while readers keep folding the buffer
+        # in; with a tiny switch interval the two interleave constantly.
+        index = InvertedIndex(cache=TokenCache())
+        added = []  # (doc_id, text) pairs; list.append is atomic
+        writers, per_writer = 4, 250
+        writing = threading.Event()
+        writing.set()
+
+        def write(k):
+            for i in range(per_writer):
+                text = f"Quake report {k} number {i}."
+                added.append(
+                    (index.add(text, d("2020-01-01"), d("2020-01-02")), text)
+                )
+                time.sleep(0)  # let a reader fold between two adds
+
+        def read():
+            while writing.is_set():
+                index.document_frequency("quake")
+
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        threads = [
+            threading.Thread(target=write, args=(k,))
+            for k in range(writers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers + threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            writing.clear()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + threads)
+        total = writers * per_writer
+        assert sorted(doc_id for doc_id, _ in added) == list(range(total))
+        assert index.num_documents == total
+        assert index.index_version == total
+        token = TokenCache().tokens("Quake")[0]
+        assert index.document_frequency(token) == total
+        for doc_id, text in added:
+            assert index.document(doc_id).text == text
 
 
 class TestReads:
