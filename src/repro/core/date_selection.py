@@ -384,8 +384,12 @@ class DateSelector:
         count the decision either way).
         """
         with tracer.span("date_selection.build_graph"):
+            # Only W4 reads the reference sentences' BM25 relevance to
+            # the query; every other scheme skips scoring them.
             reference_graph = DateReferenceGraph(
-                dated_sentences, query=query, cache=cache
+                dated_sentences,
+                query=query if self.edge_weight is EdgeWeight.W4 else (),
+                cache=cache,
             )
             num_candidates = reference_graph.num_candidate_dates()
             restrict: Optional[FrozenSet[datetime.date]] = None
@@ -464,22 +468,23 @@ class DateSelector:
             "date_selection.alpha_candidates", len(self.alpha_grid)
         )
         # The adjacency matrix is alpha-independent: materialise it once
-        # and run the matrix-level PageRank per grid point instead of
-        # rebuilding it inside pagerank() for every alpha.
+        # and run every grid point's restart vector in one batched
+        # PageRank call, each row bit-identical to running it alone.
         adjacency, order = graph.to_adjacency()
-        for alpha in self.alpha_grid:
+        restarts = np.empty(
+            (len(self.alpha_grid), len(order)), dtype=np.float64
+        )
+        for row, alpha in zip(restarts, self.alpha_grid):
             personalization = self.recency_personalization(order, alpha)
-            vector = np.array(
-                [personalization.get(node, 0.0) for node in order],
-                dtype=np.float64,
-            )
-            score_vector = pagerank_matrix(
-                adjacency,
-                damping=self.damping,
-                personalization=vector,
-                tracer=tracer,
-                counter_prefix="date_selection.pagerank",
-            )
+            row[:] = [personalization.get(node, 0.0) for node in order]
+        score_rows = pagerank_matrix(
+            adjacency,
+            damping=self.damping,
+            personalization=restarts,
+            tracer=tracer,
+            counter_prefix="date_selection.pagerank",
+        )
+        for alpha, score_vector in zip(self.alpha_grid, score_rows):
             scores = {
                 node: float(score)
                 for node, score in zip(order, score_vector)

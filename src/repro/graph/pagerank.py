@@ -47,20 +47,24 @@ def pagerank_matrix(
     damping:
         Probability of following an edge rather than teleporting.
     personalization:
-        Restart distribution (need not be normalised). ``None`` means
-        uniform. Zero-sum personalisation vectors are rejected.
+        Restart distribution (need not be normalised), or a ``(K, n)``
+        block of them, one per row, all run in one batched power
+        iteration; each row's result is bit-identical to passing that
+        row alone. ``None`` means uniform. Zero-sum rows are rejected.
     max_iterations, tolerance:
         Power-iteration loop controls; convergence is declared when the L1
         change drops below ``tolerance * n``.
     tracer, counter_prefix:
         Optional :class:`~repro.obs.trace.Tracer`; each call counts
-        ``<counter_prefix>_runs`` (1) and ``<counter_prefix>_iterations``
-        (power iterations executed). Callers namespace the prefix, e.g.
+        ``<counter_prefix>_runs`` (1 per restart vector) and
+        ``<counter_prefix>_iterations`` (power iterations executed,
+        summed over the vectors). Callers namespace the prefix, e.g.
         ``date_selection.pagerank`` -- see docs/observability.md.
 
     Returns
     -------
-    A probability vector over the nodes (sums to 1).
+    A probability vector over the nodes (sums to 1), or a ``(K, n)``
+    block of them for a block of restart vectors.
     """
     tracer = ensure_tracer(tracer)
     matrix = np.asarray(adjacency, dtype=np.float64)
@@ -71,24 +75,30 @@ def pagerank_matrix(
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
     n = matrix.shape[0]
-    if n == 0:
-        tracer.count(f"{counter_prefix}_runs")
-        return np.zeros(0, dtype=np.float64)
 
     if personalization is None:
-        restart = np.full(n, 1.0 / n, dtype=np.float64)
+        restart = np.full(n, 1.0 / max(n, 1), dtype=np.float64)
     else:
-        restart = np.asarray(personalization, dtype=np.float64)
-        if restart.shape != (n,):
+        # C order: each row's sum must reduce a contiguous row.
+        restart = np.ascontiguousarray(personalization, dtype=np.float64)
+        if restart.ndim not in (1, 2) or restart.shape[-1] != n:
             raise ValueError(
-                f"personalization must have shape ({n},), got {restart.shape}"
+                f"personalization must have shape ({n},) or (K, {n}), "
+                f"got {restart.shape}"
             )
+    runs = 1 if restart.ndim == 1 else len(restart)
+    if n == 0:
+        tracer.count(f"{counter_prefix}_runs", runs)
+        return np.zeros(restart.shape, dtype=np.float64)
+    if personalization is not None:
         if (restart < 0).any():
             raise ValueError("personalization weights must be non-negative")
-        total = restart.sum()
-        if total <= 0:
-            raise ValueError("personalization must have positive mass")
-        restart = restart / total
+        totals = restart.sum(axis=-1, keepdims=True)
+        if (totals <= 0).any():
+            raise ValueError(
+                "personalization must have positive mass in every row"
+            )
+        restart = restart / totals
 
     out_weights = matrix.sum(axis=1)
     dangling = out_weights == 0
@@ -103,8 +113,8 @@ def pagerank_matrix(
         max_iterations,
         tolerance,
     )
-    tracer.count(f"{counter_prefix}_runs")
-    tracer.count(f"{counter_prefix}_iterations", iterations)
+    tracer.count(f"{counter_prefix}_runs", runs)
+    tracer.count(f"{counter_prefix}_iterations", int(np.sum(iterations)))
     return rank
 
 

@@ -35,6 +35,7 @@ import datetime
 import threading
 from typing import (
     Dict,
+    FrozenSet,
     Iterator,
     List,
     NamedTuple,
@@ -291,6 +292,11 @@ class LiveIndex(InvertedIndex):
     def document_length(self, doc_id: int) -> int:
         sub, local, _ = self._route(self._state, doc_id)
         return sub.document_length(local)
+
+    def article_ids(self) -> FrozenSet[str]:
+        return frozenset().union(
+            *(sub.article_ids() for sub, _ in self._state.subs)
+        )
 
     def document_frequency(self, token: str) -> int:
         return sum(

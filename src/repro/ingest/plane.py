@@ -202,7 +202,6 @@ class IngestPlane:
         engine = self.system.engine
         compacted = self._segments_dir / COMPACTED_SNAPSHOT_NAME
         if compacted.is_file():
-            from repro.search.engine import _distinct_articles
             from repro.search.snapshot import load_snapshot
 
             restored = load_snapshot(compacted, cache=engine.cache)
@@ -213,7 +212,7 @@ class IngestPlane:
             ):
                 self.live = LiveIndex(restored, cache=engine.cache)
                 engine.index = self.live
-                engine._num_articles = _distinct_articles(restored)
+                engine._num_articles = len(restored.article_ids())
         for path in list_segments(self._segments_dir):
             segment = load_segment(path, cache=engine.cache)
             if segment.documents:
@@ -273,20 +272,13 @@ class IngestPlane:
     def _known_article_ids(self) -> set:
         """The dedup set, built lazily (caller holds the seal lock).
 
-        Seeded by one scan of the live view -- base, recovered and
-        sealed segments alike -- then maintained incrementally by every
-        seal. The scan runs once, on the first seal, off the boot path.
+        Seeded from the article tables of the live view -- base,
+        recovered and sealed segments alike -- then maintained
+        incrementally by every seal. The seed runs once, on the first
+        seal, off the boot path.
         """
         if self._seen_article_ids is None:
-            live = self.live
-            self._seen_article_ids = {
-                aid
-                for aid in (
-                    live.document(doc_id).article_id
-                    for doc_id in range(live.num_documents)
-                )
-                if aid
-            }
+            self._seen_article_ids = set(self.live.article_ids())
         return self._seen_article_ids
 
     def _seal_batch(self, articles: Sequence[Article]) -> Optional[Segment]:

@@ -12,7 +12,9 @@ as a pure function over array arguments:
   matrix-vector product over CSR postings statistics);
 * :func:`bm25_day_matrix` -- the all-pairs BM25 TextRank adjacency of a
   day's sentences (``Q @ S.T`` with a zeroed diagonal);
-* :func:`pagerank_iterate` -- the buffered PageRank power iteration;
+* :func:`pagerank_iterate` -- the buffered PageRank power iteration,
+  over one restart vector or a ``(K, n)`` block of them (date
+  selection's whole recency alpha grid is one call);
 * :func:`redundancy_accept` -- the CSR-batched cross-date redundancy
   check of the post-processing round-robin.
 
@@ -25,7 +27,12 @@ The contract, enforced by ``tests/test_kernels.py``:
 * **scratch is allocated explicitly** -- any buffer a kernel writes to
   is created inside the kernel (or is the returned result);
 * **numerics are bit-identical** to the expression forms these kernels
-  replaced: callers' golden/equivalence tests hold across the refactor.
+  replaced: callers' golden/equivalence tests hold across the refactor;
+* **a batch is its rows run alone**: every row of a batched
+  :func:`pagerank_iterate` equals (``np.array_equal``, same iteration
+  count) the same call on that row by itself. Products stay one
+  vector-matrix product per row and row sums reduce C-contiguous rows
+  (see the function's docstring for why each matters).
 
 Keeping the kernels free of Python-object traffic (no dicts, no strings,
 no scipy-object ownership beyond locally constructed matrices) is what
@@ -35,7 +42,7 @@ would let a numba/Cython build drop in behind the same signatures.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -220,56 +227,118 @@ def pagerank_iterate(
     damping: float,
     max_iterations: int,
     tolerance: float,
-) -> Tuple[np.ndarray, int]:
+) -> Tuple[np.ndarray, Union[int, np.ndarray]]:
     """Buffered PageRank power iteration; returns ``(rank, iterations)``.
 
-    *transition* is the row-stochastic matrix (dangling rows may hold
-    anything -- their mass is redistributed through *restart* per the
-    boolean *dangling* mask), *restart* the normalised restart
-    distribution. Convergence is declared when the L1 change drops
-    below ``tolerance * n``. The returned rank vector sums to 1.
+    *transition* is the row-stochastic ``(n, n)`` matrix (dangling rows
+    may hold anything -- their mass is redistributed through the
+    restart distribution per the boolean *dangling* mask). *restart* is
+    one normalised restart distribution of shape ``(n,)``, or a
+    ``(K, n)`` block of them, one per row. Each row converges on its
+    own, when its L1 change drops below ``tolerance * n``, or stops at
+    *max_iterations*. The result is shaped like *restart*: an ``(n,)``
+    rank vector and an ``int``, or a ``(K, n)`` block and a ``(K,)``
+    array of per-row iteration counts. Every rank row sums to 1.
 
-    Every iteration writes into preallocated ping-pong buffers via
-    ufunc ``out=`` -- the arithmetic (and hence the result, bit for
-    bit) matches the expression form, without allocating four
-    temporaries per sweep. The inputs are only ever read.
+    A 1-D restart is the K=1 case of the same loop, and every row of a
+    block is bit-identical -- the same values after the same number of
+    iterations -- to running that row alone. Two rules keep it so:
+
+    * the product is one vector-matrix (BLAS gemv) product per row:
+      ``matmul`` over the ``(K, 1, n)`` stack of rows, or over the one
+      ``(1, n)`` row. A plain ``(K, n) @ (n, n)`` is a matrix-matrix
+      product whose rows round differently in the last bits;
+    * every per-row sum (the dangling mass, the L1 change, the final
+      normalisation) reduces a C-contiguous row, which numpy sums
+      pairwise exactly as it sums a vector. The dangling entries are
+      therefore gathered with ``take``: a boolean mask over a block
+      returns a non-contiguous array whose row sums round differently.
+
+    A row leaves the block at its convergence step; the rest iterate
+    on. Every iteration writes into ping-pong buffers sized to the
+    rows still iterating, via ufunc ``out=``. The inputs are only ever
+    read.
     """
     transition = np.asarray(transition, dtype=np.float64)
-    restart = np.asarray(restart, dtype=np.float64)
+    restart = np.ascontiguousarray(restart, dtype=np.float64)
+    block = np.atleast_2d(restart)
     n = transition.shape[0]
-    dangling = np.asarray(dangling, dtype=bool)
-    has_dangling = bool(dangling.any())
-
-    base = (1.0 - damping) * restart
-    rank = restart.copy()
-    new_rank = np.empty(n, dtype=np.float64)
-    diff = np.empty(n, dtype=np.float64)
-    dangling_term = (
-        np.empty(n, dtype=np.float64) if has_dangling else None
-    )
+    dangling_ids = np.flatnonzero(dangling)
+    has_dangling = dangling_ids.size > 0
+    # A 0-d array: ufuncs take it without a per-call scalar conversion.
+    damp = np.array(damping, dtype=np.float64)
     threshold = tolerance * n
+    # Local names: on graphs this small the loop's cost is call overhead.
+    matmul, multiply, add, subtract = (
+        np.matmul, np.multiply, np.add, np.subtract
+    )
+    absolute, sum_rows = np.absolute, np.add.reduce
+
+    ranks = np.empty_like(block)
+    counts = np.empty(len(block), dtype=np.int64)
+    rows = np.arange(len(block))  # the block rows still iterating
+    rank = block.copy()
+    restarts = block
     iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
-        np.matmul(rank, transition, out=new_rank)
-        np.multiply(new_rank, damping, out=new_rank)
+    while len(rows):
+        live = len(rows)
+        base = (1.0 - damping) * restarts
+        new_rank = np.empty_like(rank)
+        diff = np.empty_like(rank)
+        changes = np.empty(live, dtype=np.float64)
         if has_dangling:
-            # new = damping*(rank@T) + (damping*mass)*restart + base,
-            # summed left to right exactly as written.
-            np.multiply(
-                restart,
-                damping * rank[dangling].sum(),
-                out=dangling_term,
-            )
-            np.add(new_rank, dangling_term, out=new_rank)
-        np.add(new_rank, base, out=new_rank)
-        np.subtract(new_rank, rank, out=diff)
-        np.abs(diff, out=diff)
-        converged = diff.sum() < threshold
-        rank, new_rank = new_rank, rank
-        if converged:
+            gathered = np.empty((live, dangling_ids.size), dtype=np.float64)
+            mass_column = np.empty((live, 1), dtype=np.float64)
+            mass = mass_column.reshape(live)
+            dangling_term = np.empty_like(rank)
+        if live == 1:
+            # One row needs no stack axis and a 0-d mass broadcasts
+            # with less dispatch than a (1, 1) column; same arithmetic.
+            rank_rows, new_rows = rank, new_rank
+            if has_dangling:
+                mass_column = mass.reshape(())
+        else:
+            rank_rows, new_rows = rank[:, None, :], new_rank[:, None, :]
+        change_list = None
+        while iterations < max_iterations:
+            iterations += 1
+            matmul(rank_rows, transition, new_rows)
+            multiply(new_rank, damp, new_rank)
+            if has_dangling:
+                # new = damping*(rank@T) + (damping*mass)*restart + base,
+                # summed left to right exactly as written. "clip" lets
+                # take write into its out buffer directly (the ids are
+                # in range; "raise" would copy first).
+                rank.take(dangling_ids, 1, gathered, "clip")
+                sum_rows(gathered, 1, None, mass)
+                multiply(mass, damp, mass)
+                multiply(restarts, mass_column, dangling_term)
+                add(new_rank, dangling_term, new_rank)
+            add(new_rank, base, new_rank)
+            subtract(new_rank, rank, diff)
+            absolute(diff, diff)
+            sum_rows(diff, 1, None, changes)
+            rank, new_rank = new_rank, rank
+            rank_rows, new_rows = new_rows, rank_rows
+            # As Python floats, the cheapest "did any row converge?"
+            change_list = changes.tolist()
+            if min(change_list) < threshold:
+                break
+        if iterations == max_iterations or max(change_list) < threshold:
+            # Every row still iterating is finished.
+            ranks[rows] = rank
+            counts[rows] = iterations
             break
-    return rank / rank.sum(), iterations
+        # Some rows converged: record them and iterate on the rest.
+        done = changes < threshold
+        ranks[rows[done]] = rank[done]
+        counts[rows[done]] = iterations
+        keep = ~done
+        rows, rank, restarts = rows[keep], rank[keep], restarts[keep]
+    ranks /= ranks.sum(axis=-1, keepdims=True)
+    if restart.ndim == 1:
+        return ranks[0], iterations
+    return ranks, counts
 
 
 def redundancy_accept(

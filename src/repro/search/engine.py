@@ -51,15 +51,6 @@ def expand_article(article: Article, tagger: TemporalTagger):
             )
 
 
-def _distinct_articles(index: InvertedIndex) -> int:
-    """Distinct non-empty article ids among the indexed documents."""
-    article_ids = {
-        index.document(doc_id).article_id
-        for doc_id in range(index.num_documents)
-    }
-    return len(article_ids - {""})
-
-
 class SearchEngine:
     """Index news articles; serve keyword + time-window sentence queries."""
 
@@ -146,7 +137,7 @@ class SearchEngine:
         engine._num_articles = (
             int(articles)
             if articles is not None
-            else _distinct_articles(engine.index)
+            else len(engine.index.article_ids())
         )
         return engine
 

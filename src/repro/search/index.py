@@ -29,7 +29,16 @@ import datetime
 import pathlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -249,6 +258,14 @@ class InvertedIndex:
 
     def document_length(self, doc_id: int) -> int:
         return self._current().lengths()[doc_id]
+
+    def article_ids(self) -> FrozenSet[str]:
+        """The distinct non-empty article ids of the indexed documents.
+
+        Read from the ``articles`` string table, which holds exactly the
+        ids the documents use, so no document is built.
+        """
+        return frozenset(self._current().strings("articles")) - {""}
 
     def _entries(self, token: str):
         """``(columns, entry_start, entry_stop, doc_ids)`` of *token*, if

@@ -2,14 +2,19 @@
 
 import datetime
 
+import numpy as np
 import pytest
 
+from repro import kernels
+from repro.core import date_selection
 from repro.core.date_selection import (
     DateReferenceGraph,
     DateSelector,
     EdgeWeight,
     uniformity,
 )
+from repro.graph.pagerank import pagerank_matrix
+from repro.obs.trace import Tracer
 from repro.tlsdata.types import DatedSentence
 from tests.conftest import d
 
@@ -165,3 +170,99 @@ class TestDateSelector:
         )
         hits = len(set(selected) & set(tiny_instance.reference.dates))
         assert hits >= len(tiny_instance.reference.dates) * 0.3
+
+
+def _reference_recency(selector, graph, num_dates):
+    """The alpha grid as one 1-D PageRank call per alpha."""
+    adjacency, order = graph.to_adjacency()
+    candidates = []
+    for alpha in selector.alpha_grid:
+        weights = selector.recency_personalization(order, alpha)
+        vector = np.array(
+            [weights.get(node, 0.0) for node in order], dtype=np.float64
+        )
+        scores = pagerank_matrix(
+            adjacency, damping=selector.damping, personalization=vector
+        )
+        selection = selector._top_dates(
+            {node: float(score) for node, score in zip(order, scores)},
+            num_dates,
+        )
+        candidates.append((uniformity(selection), alpha, selection))
+    best = min(candidates, key=lambda item: (item[0], -item[1]))
+    return best[2], best[1]
+
+
+class TestBatchedAlphaGrid:
+    """The recency grid runs as one batched PageRank call."""
+
+    @pytest.mark.parametrize("num_dates", [1, 4, 10])
+    def test_matches_one_call_per_alpha(
+        self, tiny_pool, golden_instances, num_dates
+    ):
+        pools = [tiny_pool] + [
+            instance.corpus.dated_sentences()
+            for instance in golden_instances.values()
+        ]
+        selector = DateSelector()
+        for pool in pools:
+            graph = selector._build_graph(pool, (), Tracer())
+            assert selector._select_with_recency(
+                graph, num_dates
+            ) == _reference_recency(selector, graph, num_dates)
+
+    def test_one_kernel_call_and_one_run_per_alpha(
+        self, tiny_pool, monkeypatch
+    ):
+        calls = []
+        original = kernels.pagerank_iterate
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "pagerank_iterate", counting)
+        tracer = Tracer()
+        selector = DateSelector()
+        selector.select(tiny_pool, num_dates=5, tracer=tracer)
+        grid = len(selector.alpha_grid)
+        assert len(calls) == 1 and calls[0][0] == grid
+        counters = tracer.counters
+        assert counters["date_selection.pagerank_runs"] == grid
+        assert counters["date_selection.pagerank_runs"] == (
+            counters["date_selection.alpha_candidates"]
+        )
+        assert counters["date_selection.pagerank_iterations"] >= grid
+
+
+class TestReferenceBM25OnlyUnderW4:
+    """Only W4 reads the reference sentences' BM25 scores."""
+
+    @staticmethod
+    def _count_bm25(monkeypatch):
+        built = []
+        original = date_selection.BM25
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(date_selection, "BM25", counting)
+        return built
+
+    def test_w3_with_query_scores_nothing(self, tiny_pool, monkeypatch):
+        query = ["attack", "talks"]
+        without_query = DateSelector().select(tiny_pool, num_dates=5)
+        built = self._count_bm25(monkeypatch)
+        with_query = DateSelector().select(
+            tiny_pool, num_dates=5, query=query
+        )
+        assert built == []
+        assert with_query == without_query
+
+    def test_w4_with_query_scores_references(self, tiny_pool, monkeypatch):
+        built = self._count_bm25(monkeypatch)
+        DateSelector(edge_weight="W4").select(
+            tiny_pool, num_dates=5, query=["attack"]
+        )
+        assert built

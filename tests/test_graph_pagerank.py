@@ -10,6 +10,7 @@ from repro.graph.pagerank import (
     pagerank_matrix,
     personalized_pagerank,
 )
+from repro.obs.trace import Tracer
 
 
 def _random_adjacency(seed: int, n: int = 12) -> np.ndarray:
@@ -124,6 +125,67 @@ class TestValidation:
             pagerank_matrix(
                 np.zeros((2, 2)), personalization=np.ones(3)
             )
+
+
+class TestPersonalizationBlock:
+    """A ``(K, n)`` personalization is K restart vectors in one call."""
+
+    def test_rows_match_one_call_per_row(self):
+        matrix = _random_adjacency(4)
+        rng = np.random.default_rng(4)
+        block = rng.random((5, 12)) * 3.0  # rows normalised separately
+        block[1, :6] = 0.0
+        rows = pagerank_matrix(matrix, personalization=block)
+        assert rows.shape == (5, 12)
+        for row, vector in zip(rows, block):
+            assert np.array_equal(
+                row, pagerank_matrix(matrix, personalization=vector)
+            )
+
+    def test_counts_one_run_per_row(self):
+        matrix = _random_adjacency(6)
+        block = np.random.default_rng(6).random((4, 12))
+        batched, single = Tracer(), Tracer()
+        pagerank_matrix(
+            matrix, personalization=block, tracer=batched,
+            counter_prefix="p",
+        )
+        for vector in block:
+            pagerank_matrix(
+                matrix, personalization=vector, tracer=single,
+                counter_prefix="p",
+            )
+        assert batched.counters["p_runs"] == 4
+        assert batched.counters == single.counters
+
+    def test_rejects_wrong_trailing_size(self):
+        with pytest.raises(ValueError):
+            pagerank_matrix(
+                np.ones((3, 3)), personalization=np.ones((2, 4))
+            )
+
+    def test_rejects_negative_entry(self):
+        block = np.ones((2, 3))
+        block[1, 2] = -0.1
+        with pytest.raises(ValueError):
+            pagerank_matrix(np.ones((3, 3)), personalization=block)
+
+    def test_rejects_one_zero_sum_row(self):
+        block = np.ones((3, 3))
+        block[1] = 0.0
+        with pytest.raises(ValueError):
+            pagerank_matrix(np.ones((3, 3)), personalization=block)
+
+    def test_rejects_more_than_two_dimensions(self):
+        with pytest.raises(ValueError):
+            pagerank_matrix(
+                np.ones((3, 3)), personalization=np.ones((2, 2, 3))
+            )
+
+    def test_empty_graph_keeps_the_block_shape(self):
+        assert pagerank_matrix(
+            np.zeros((0, 0)), personalization=np.ones((3, 0))
+        ).shape == (3, 0)
 
 
 class TestGraphInterface:

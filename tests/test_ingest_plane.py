@@ -796,6 +796,58 @@ class TestIngestIdempotency:
         assert recovered.ingest(articles[:3]) == 0
         assert restarted.engine.index.segment_count == 1
 
+    def test_dedup_set_reads_article_tables_not_documents(
+        self, tmp_path, monkeypatch
+    ):
+        """On a sliced base plus recovered segments, the dedup set is
+        the per-document scan's set, and no document is built for it."""
+        articles = make_articles()
+        anonymous = Article(
+            article_id="",
+            publication_date=d("2021-03-05"),
+            text="An unattributed report arrived on March 4, 2021.",
+        )
+        full = cold_system(articles[:4] + [anonymous]).engine.index
+        kept = [
+            doc_id
+            for doc_id in range(full.num_documents)
+            if full.document(doc_id).article_id in {"a1", "a3", ""}
+        ]
+
+        def sliced_system():
+            system = RealTimeTimelineSystem()
+            system.engine.index = full.subset(kept)
+            return system
+
+        config = IngestConfig(segments_dir=tmp_path)
+        first = IngestPlane(sliced_system(), config)
+        first.ingest(articles[4:5])
+        first.ingest(articles[5:6])
+
+        metrics = Metrics()
+        plane = IngestPlane(sliced_system(), config, metrics=metrics)
+        live = plane.live
+        assert live.segment_count == 2
+        scan = {
+            live.document(doc_id).article_id
+            for doc_id in range(live.num_documents)
+        } - {""}
+        assert scan == {"a1", "a3", "a5", "a6"}
+
+        def no_document(doc_id):
+            raise AssertionError("the dedup set built a document")
+
+        # Every document already in the live view; the seal below still
+        # builds its own new segment's documents to write the file.
+        for sub in (live, live.base, *(s.index for s in live.segments)):
+            monkeypatch.setattr(sub, "document", no_document)
+        assert live.article_ids() == scan
+        assert plane.ingest(articles) > 0  # seeds the set on this seal
+        assert metrics.counter(
+            "ingest.articles_deduplicated"
+        ).value == len(scan)
+        assert live.article_ids() == {a.article_id for a in articles}
+
     def test_articles_without_an_id_are_never_deduplicated(self):
         system, plane = live_system([])
         anonymous = Article(

@@ -33,6 +33,44 @@ def _assert_unchanged(arrays, before):
         assert array.tobytes() == expected, "kernel mutated an input"
 
 
+def _transition(rng, n, dangling_share=0.3, density=1.0):
+    """A random row-stochastic matrix whose all-zero rows dangle."""
+    matrix = rng.rand(n, n)
+    matrix[rng.rand(n, n) >= density] = 0.0
+    matrix[rng.rand(n) < dangling_share] = 0.0
+    out_weights = matrix.sum(axis=1)
+    dangling = out_weights == 0
+    safe = np.where(dangling, 1.0, out_weights)
+    return matrix / safe[:, None], dangling
+
+
+def _restarts(rng, k, n):
+    """*k* normalised restart rows, from nearly flat to sharply peaked,
+    so that the rows converge after different numbers of steps."""
+    weights = rng.rand(k, n) ** rng.uniform(0.5, 8.0, size=(k, 1))
+    weights += 1e-12
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def _reference_pagerank(transition, restart, dangling, damping, cap, tol):
+    """The one-vector power iteration the batched kernel replaced,
+    expression for expression: the bit-exact reference for K=1."""
+    n = transition.shape[0]
+    rank = restart.copy()
+    iterations = 0
+    for _ in range(cap):
+        iterations += 1
+        new_rank = damping * (rank @ transition)
+        if dangling.any():
+            new_rank = new_rank + restart * (damping * rank[dangling].sum())
+        new_rank = new_rank + (1.0 - damping) * restart
+        converged = np.abs(new_rank - rank).sum() < tol * n
+        rank = new_rank
+        if converged:
+            break
+    return rank / rank.sum(), iterations
+
+
 def _bm25_fixture():
     """A small but non-trivial postings layout (3 docs, 4 terms)."""
     ids_cat = np.array([0, 1, 1, 2, 0, 3, 3, 3, 2], dtype=np.int64)
@@ -170,6 +208,25 @@ class TestBitUnchangedInputs:
         assert rank.sum() == pytest.approx(1.0)
 
     @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=1000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pagerank_iterate_block(self, n, k, seed):
+        rng = np.random.RandomState(seed)
+        transition, dangling = _transition(rng, n)
+        restart = _restarts(rng, k, n)
+        inputs = _freeze(transition, restart, dangling)
+        before = _snapshot_bytes(inputs)
+        ranks, counts = kernels.pagerank_iterate(
+            transition, restart, dangling, 0.85, 100, 1e-10
+        )
+        _assert_unchanged(inputs, before)
+        assert ranks.shape == (k, n) and counts.shape == (k,)
+        np.testing.assert_allclose(ranks.sum(axis=1), 1.0)
+
+    @given(
         st.lists(
             st.lists(
                 st.floats(min_value=0.0, max_value=1.0, width=32),
@@ -232,6 +289,101 @@ class TestBitUnchangedInputs:
             data, rows, doc_lengths, max(doc_lengths[0], 1.0), 1.2, 0.75
         )
         _assert_unchanged(inputs2, before2)
+
+
+class TestBatchedPageRank:
+    """A ``(K, n)`` restart block is its K rows run one at a time.
+
+    Bit for bit: every batched row is ``np.array_equal`` to the K=1 run
+    of that row, after the same number of iterations -- also when a cap
+    stops some rows while others have already converged -- and every
+    K=1 run equals the one-vector reference loop.
+    """
+
+    @staticmethod
+    def _assert_rows_run_alone(transition, restarts, dangling, cap):
+        ranks, counts = kernels.pagerank_iterate(
+            transition, restarts, dangling, 0.85, cap, 1e-10
+        )
+        assert ranks.shape == restarts.shape
+        for row, restart in enumerate(restarts):
+            alone, iterations = kernels.pagerank_iterate(
+                transition, restart, dangling, 0.85, cap, 1e-10
+            )
+            assert np.array_equal(ranks[row], alone), row
+            assert counts[row] == iterations, row
+            expected, steps = _reference_pagerank(
+                transition, restart, dangling, 0.85, cap, 1e-10
+            )
+            assert np.array_equal(alone, expected), row
+            assert iterations == steps, row
+        return counts
+
+    @given(
+        st.integers(min_value=1, max_value=512),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_single_runs(self, n, k, seed, capped):
+        rng = np.random.RandomState(seed)
+        transition, dangling = _transition(
+            rng,
+            n,
+            dangling_share=rng.uniform(0.0, 0.5),
+            density=rng.uniform(0.02, 1.0),
+        )
+        restarts = _restarts(rng, k, n)
+        cap = 200
+        if capped:
+            # The median row's own count: rows slower than it hit the
+            # cap, the others converge at or before it.
+            free = sorted(
+                kernels.pagerank_iterate(
+                    transition, restart, dangling, 0.85, cap, 1e-10
+                )[1]
+                for restart in restarts
+            )
+            cap = free[k // 2]
+        self._assert_rows_run_alone(transition, restarts, dangling, cap)
+
+    def test_cap_splits_the_block(self):
+        rng = np.random.RandomState(3)
+        transition, dangling = _transition(rng, 70, dangling_share=0.3)
+        restarts = _restarts(rng, 14, 70)
+        free = self._assert_rows_run_alone(
+            transition, restarts, dangling, 200
+        )
+        cap = int(np.median(free))
+        counts = self._assert_rows_run_alone(
+            transition, restarts, dangling, cap
+        )
+        assert counts.min() < cap == counts.max()
+
+    def test_one_row_block_matches_vector(self):
+        rng = np.random.RandomState(5)
+        transition, dangling = _transition(rng, 16)
+        restart = _restarts(rng, 1, 16)
+        block, counts = kernels.pagerank_iterate(
+            transition, restart, dangling, 0.85, 200, 1e-10
+        )
+        vector, iterations = kernels.pagerank_iterate(
+            transition, restart[0], dangling, 0.85, 200, 1e-10
+        )
+        assert vector.shape == (16,) and isinstance(iterations, int)
+        assert np.array_equal(block[0], vector)
+        assert counts.tolist() == [iterations]
+
+    def test_zero_iterations_returns_the_restarts(self):
+        rng = np.random.RandomState(9)
+        transition, dangling = _transition(rng, 5)
+        restarts = _restarts(rng, 3, 5)
+        ranks, counts = kernels.pagerank_iterate(
+            transition, restarts, dangling, 0.85, 0, 1e-10
+        )
+        np.testing.assert_allclose(ranks, restarts)
+        assert counts.tolist() == [0, 0, 0]
 
 
 class TestKernelSemantics:
