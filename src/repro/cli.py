@@ -27,8 +27,8 @@ Subcommands:
   corpus; ``--shards N`` writes a topology directory of N slice
   snapshots plus manifest instead of one file;
 * ``index-info`` -- print a snapshot's vital signs (documents,
-  vocabulary, date span, ``index_version``, format version, shard-slice
-  metadata when present) from its header alone;
+  vocabulary, date span, ``index_version``, format version, and the
+  shard-slice or ingest-segment key when present) from its header alone;
 * ``evaluate`` -- score a method on a dataset (a directory written by
   :func:`repro.tlsdata.loaders.save_dataset`, or the synthetic
   ``timeline17`` / ``crisis`` presets);
@@ -688,6 +688,12 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
             f"slice:         shard {slice_meta.get('shard_id')} of "
             f"{slice_meta.get('num_shards')}, {start} .. {end}"
         )
+    segment = info.get("segment")
+    if segment:
+        print(
+            f"segment:       seq {segment.get('seq')}, "
+            f"{segment.get('articles')} articles ingested"
+        )
     if getattr(args, "segments", None) is not None:
         _print_live_segments(args.segments, int(info["index_version"]))
     return 0
@@ -696,16 +702,16 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
 def _print_live_segments(directory: str, base_version: int) -> int:
     """Describe the live overlay a segments directory represents.
 
-    Prints one line per sealed ``wilson.segment/v1`` file (headers are
-    O(1) reads -- no batch is replayed) plus the totals a restarted
+    Prints one line per sealed segment file (its snapshot header, an
+    O(1) read -- no payload is loaded) plus the totals a restarted
     worker would boot into: pending documents, pending compaction
     bytes, and the live ``index_version`` the base snapshot + overlay
     would report. Returns the number of segments described.
     """
     import pathlib as _pathlib
 
-    from repro.ingest import list_segments, segment_info
-    from repro.search.snapshot import SnapshotError
+    from repro.ingest import list_segments
+    from repro.search.snapshot import SnapshotError, snapshot_info
 
     paths = list_segments(directory)
     print(f"live segments: {len(paths)} (in {directory})")
@@ -714,22 +720,21 @@ def _print_live_segments(directory: str, base_version: int) -> int:
     live_version = base_version
     for path in paths:
         try:
-            header = segment_info(path)
+            header = snapshot_info(path)
         except SnapshotError as exc:
             print(f"  {path.name}: unreadable ({exc})")
             continue
+        segment = header.get("segment") or {}
         documents = int(header.get("documents", 0))
-        touched = header.get("touched_dates") or []
+        span = header.get("date_span")
         nbytes = _pathlib.Path(path).stat().st_size
         pending_documents += documents
         pending_bytes += nbytes
-        live_version += documents
-        window = (
-            f"{touched[0]} .. {touched[-1]}" if touched else "(no dates)"
-        )
+        live_version += int(header.get("index_version", 0))
+        window = f"{span[0]} .. {span[1]}" if span else "(no dates)"
         print(
-            f"  {path.name}: seq {header.get('segment_seq')}, "
-            f"{documents} documents, {header.get('articles')} articles, "
+            f"  {path.name}: seq {segment.get('seq')}, "
+            f"{documents} documents, {segment.get('articles')} articles, "
             f"{window}, {nbytes} bytes"
         )
     print(f"pending documents:          {pending_documents}")

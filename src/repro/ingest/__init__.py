@@ -2,9 +2,10 @@
 
 The write path of the serving stack (see ``docs/ingest.md``): articles
 stream into a bounded :class:`IngestQueue`, a :class:`SegmentWriter`
-thread seals them into append-only ``wilson.segment/v1`` delta
-segments, a :class:`LiveIndex` overlays sealed segments on the base
-(mmap or copied) snapshot with exact merged BM25 statistics, and a
+thread seals them into append-only delta segments (persisted as
+``wilson.snapshot/v2`` files with a ``"segment"`` header key), a
+:class:`LiveIndex` overlays sealed segments on the base (mmap or
+copied) snapshot with exact merged BM25 statistics, and a
 :class:`Compactor` periodically folds segments back into a fresh
 snapshot off the hot path. Each seal bumps ``index_version`` and
 reports its touched content dates, driving precise day-scoped cache
@@ -23,13 +24,10 @@ from repro.ingest.plane import (
 )
 from repro.ingest.queue import IngestQueue
 from repro.ingest.segment import (
-    SEGMENT_FORMAT_VERSION,
-    SEGMENT_MAGIC,
     Segment,
     build_segment,
     list_segments,
     load_segment,
-    segment_info,
     write_segment,
 )
 from repro.ingest.writer import SegmentWriter
@@ -45,13 +43,10 @@ __all__ = [
     "IngestPlane",
     "IngestQueue",
     "LiveIndex",
-    "SEGMENT_FORMAT_VERSION",
-    "SEGMENT_MAGIC",
     "Segment",
     "SegmentWriter",
     "build_segment",
     "list_segments",
     "load_segment",
-    "segment_info",
     "write_segment",
 ]

@@ -7,7 +7,9 @@ base (:meth:`LiveIndex.replace_base`). A merge of the same documents in
 the same order is what makes the guarantee trivial: the compacted index
 *is* the cold re-index of the streamed corpus, so a snapshot written
 from it is byte-identical to one written after a cold re-index
-(asserted by ``tests/test_ingest_plane.py``).
+(asserted by ``tests/test_ingest_plane.py``). A persisted segment is a
+snapshot file too, restored section for section, so a plane that
+recovered its segments after a restart compacts to the same bytes.
 
 The fold runs entirely off the query hot path: readers keep serving
 the old ``(base, segments)`` view until the single atomic swap, and

@@ -13,10 +13,11 @@ RealTimeTimelineSystem` and turns its read-only engine into a live one:
   (ingest is idempotent -- a retried batch never duplicates documents
   or skews BM25 statistics), expand the rest exactly as
   ``SearchEngine.add_article`` would, build a mini index, optionally
-  persist a ``wilson.segment/v1`` file, append the sealed segment to
-  the overlay (bumping ``index_version`` by its document count), then
-  notify seal listeners with the segment's touched dates -- the hook
-  serving layers use for precise result-cache invalidation;
+  persist it as a ``wilson.snapshot/v2`` file with a ``"segment"``
+  header key, append the sealed segment to the overlay (bumping
+  ``index_version`` by its document count), then notify seal listeners
+  with the segment's touched dates -- the hook serving layers use for
+  precise result-cache invalidation;
 * a :class:`~repro.ingest.compactor.Compactor` folds segments back
   into a fresh base off the hot path, automatically once
   ``auto_compact_docs`` pending documents accumulate. With a segments
@@ -196,25 +197,38 @@ class IngestPlane:
         when it was written, so it *must* replace a stale boot base --
         skipped only when the engine already booted from something at
         least as new), then every remaining segment file, re-overlaid
-        on top. Together they reconstruct every acknowledged persisted
-        write across any crash point.
+        on top, in sequence order. Together they reconstruct every
+        acknowledged persisted write across any crash point.
+
+        Every file is loaded and verified before the live state
+        changes: a file that does not load raises
+        :class:`~repro.search.snapshot.SnapshotError` naming it, and is
+        never skipped -- skipping would drop acknowledged writes. Both
+        sources are snapshots, so recovery tokenises nothing.
         """
+        from repro.search.snapshot import load_snapshot
+
         engine = self.system.engine
         compacted = self._segments_dir / COMPACTED_SNAPSHOT_NAME
-        if compacted.is_file():
-            from repro.search.snapshot import load_snapshot
-
-            restored = load_snapshot(compacted, cache=engine.cache)
-            base = self.live.base
-            if (
-                restored.num_documents >= base.num_documents
-                and restored.index_version >= base.index_version
-            ):
-                self.live = LiveIndex(restored, cache=engine.cache)
-                engine.index = self.live
-                engine._num_articles = len(restored.article_ids())
-        for path in list_segments(self._segments_dir):
-            segment = load_segment(path, cache=engine.cache)
+        restored = (
+            load_snapshot(compacted, cache=engine.cache)
+            if compacted.is_file()
+            else None
+        )
+        segments = [
+            load_segment(path, cache=engine.cache)
+            for path in list_segments(self._segments_dir)
+        ]
+        base = self.live.base
+        if (
+            restored is not None
+            and restored.num_documents >= base.num_documents
+            and restored.index_version >= base.index_version
+        ):
+            self.live = LiveIndex(restored, cache=engine.cache)
+            engine.index = self.live
+            engine._num_articles = len(restored.article_ids())
+        for segment in segments:
             if segment.documents:
                 self.live.append_segment(segment)
                 engine._num_articles += segment.articles
@@ -311,10 +325,10 @@ class IngestPlane:
             segment = build_segment(
                 self._seq, fresh, engine.tagger, cache=engine.cache
             )
-            seen.update(batch_ids)
             if not segment.documents:
                 # Articles with no sentences still count as ingested
                 # articles -- exactly what add_article does cold.
+                seen.update(batch_ids)
                 engine._num_articles += segment.articles
                 return None
             self._seq += 1
@@ -324,6 +338,9 @@ class IngestPlane:
                     self._segments_dir / f"segment-{segment.seq:06d}.seg",
                 )
             version = self.live.append_segment(segment)
+            # Only a published batch is known: when the write above
+            # raises, a retry of the same articles must index them.
+            seen.update(batch_ids)
             engine._num_articles += segment.articles
             elapsed = time.perf_counter() - started
             metrics = self.metrics

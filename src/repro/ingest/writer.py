@@ -29,7 +29,7 @@ class SegmentWriter:
             return
         self._stop.clear()
         self._thread = threading.Thread(
-            target=self._run, name="wilson-segment-writer", daemon=True
+            target=self._run, name="wilson-ingest-writer", daemon=True
         )
         self._thread.start()
 

@@ -12,7 +12,11 @@ travels in the header.
 The layout is ``wilson.snapshot/v2``: one JSON meta line (magic, format
 version, ``index_version``, analyzer configuration and a per-section
 offset/dtype/shape/SHA-256 descriptor), then each array as a raw
-little-endian **section** at a page-aligned offset. A snapshot loads two
+little-endian **section** at a page-aligned offset. This module is the
+only one that knows that layout: a shard slice (:mod:`repro.serve.
+topology`) and a sealed ingest segment (:mod:`repro.ingest.segment`)
+are snapshots too, told apart by one extra header key (``"slice"``,
+``"segment"``). A snapshot loads two
 ways: ``mode="mmap"`` maps the file ``MAP_SHARED`` read-only and the
 index reads its sections as views of the page cache -- no copy,
 O(page-fault) boot, and N worker processes share one physical copy of
@@ -144,32 +148,31 @@ def replacing(path: PathLike) -> Iterator[pathlib.Path]:
         raise
 
 
-def write_section_file(
+def save_snapshot(
+    index: InvertedIndex,
     path: PathLike,
-    magic: str,
-    format_version: int,
-    arrays: Dict[str, np.ndarray],
-    meta: Optional[Dict[str, object]] = None,
-) -> int:
-    """Write an aligned, per-section-checksummed binary section file.
+    extra: Optional[Dict[str, object]] = None,
+) -> None:
+    """Write *index*'s section arrays, unchanged, to *path*.
 
-    The shared on-disk machinery behind ``wilson.snapshot/v2`` and
-    ``wilson.segment/v1`` (:mod:`repro.ingest.segment`): one JSON meta
-    line carrying *magic*, *format_version* and a ``sections`` map of
-    ``{offset, dtype, shape, sha256}`` descriptors, then each array at a
-    :data:`_SECTION_ALIGN`-aligned offset. *arrays* is written in
-    iteration order with dtypes taken as given -- callers prepare
-    contiguity and dtype; *meta* keys are merged into the header. The
-    file is written atomically (see :func:`replacing`). Returns the
-    payload size in bytes.
+    One JSON meta line (the magic, the format version, a ``sections``
+    map of ``{offset, dtype, shape, sha256}`` descriptors and the
+    descriptive fields of :func:`_header_meta`), then each section at a
+    :data:`_SECTION_ALIGN`-aligned offset. The file is written
+    atomically (see :func:`replacing`).
+
+    *extra* adds header keys, embedded verbatim, that
+    :func:`snapshot_info` surfaces without reading the payload: the
+    topology layer marks shard *k* of *N* with its date range under
+    ``"slice"`` (see :mod:`repro.serve.topology`), and the ingest plane
+    marks a sealed segment with its sequence number and article count
+    under ``"segment"`` (see :mod:`repro.ingest.segment`). A key the
+    snapshot writes itself raises ``ValueError``.
     """
-    prepared = {
-        name: np.ascontiguousarray(array)
-        for name, array in arrays.items()
-    }
+    sections = index.sections()
     section_meta: Dict[str, Dict[str, object]] = {}
     offset = 0
-    for name, array in prepared.items():
+    for name, array in sections.items():
         offset = _align(offset)
         section_meta[name] = {
             "offset": offset,
@@ -178,16 +181,19 @@ def write_section_file(
             "sha256": hashlib.sha256(array.tobytes()).hexdigest(),
         }
         offset += array.nbytes
-    payload_bytes = offset
-
     header = {
-        "meta": magic,
-        "format_version": format_version,
-        "payload_bytes": payload_bytes,
+        "meta": SNAPSHOT_MAGIC_V2,
+        "format_version": SNAPSHOT_FORMAT_VERSION_V2,
+        "payload_bytes": offset,
         "section_align": _SECTION_ALIGN,
         "sections": section_meta,
-        **(meta or {}),
+        **_header_meta(index, sections),
     }
+    extra = extra or {}
+    reserved = sorted(header.keys() & extra.keys())
+    if reserved:
+        raise ValueError(f"header keys {reserved} are the snapshot's own")
+    header.update(extra)
     header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     if len(header_line) > _MAX_HEADER_BYTES:
         raise SnapshotError(
@@ -204,108 +210,20 @@ def write_section_file(
         handle.write(header_line)
         handle.write(b"\x00" * (data_start - len(header_line)))
         cursor = 0
-        for name, array in prepared.items():
+        for name, array in sections.items():
             target = section_meta[name]["offset"]
             if target > cursor:
                 handle.write(b"\x00" * (target - cursor))
                 cursor = target
             handle.write(array.tobytes())
             cursor += array.nbytes
-    return payload_bytes
-
-
-def read_section_file(
-    path: PathLike, magic: str, format_version: int
-) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Read and verify a file written by :func:`write_section_file`.
-
-    Every section is read eagerly and checked against its declared
-    sha256 -- the right trade-off for small files like delta segments
-    (mapped lazy-verified access stays the preserve of
-    :class:`SectionTable`). Returns ``(header, {name: array})``; the
-    arrays are writable copies. Raises :class:`SnapshotError` on a
-    missing, truncated, corrupt, or wrong-magic file.
-    """
-    try:
-        with pathlib.Path(path).open("rb") as handle:
-            header, header_len = _read_header(handle, magic, format_version)
-            sections = header.get("sections")
-            if not isinstance(sections, dict):
-                raise SnapshotError(
-                    f"{magic} header carries no sections map"
-                )
-            data_start = _align(header_len)
-            arrays: Dict[str, np.ndarray] = {}
-            for name, entry in sections.items():
-                try:
-                    offset = int(entry["offset"])
-                    dtype = np.dtype(str(entry["dtype"]))
-                    shape = tuple(int(n) for n in entry["shape"])
-                    declared = str(entry["sha256"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise SnapshotError(
-                        f"section {name!r} descriptor is malformed: {exc}"
-                    ) from exc
-                nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-                handle.seek(data_start + offset)
-                raw = handle.read(nbytes)
-                if len(raw) != nbytes:
-                    raise SnapshotError(
-                        f"section {name!r} truncated: expected {nbytes} "
-                        f"bytes, found {len(raw)}"
-                    )
-                if hashlib.sha256(raw).hexdigest() != declared:
-                    raise SnapshotError(
-                        f"section {name!r} checksum mismatch"
-                    )
-                arrays[name] = np.frombuffer(
-                    raw, dtype=dtype
-                ).reshape(shape).copy()
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot: {exc}") from exc
-    return header, arrays
-
-
-def save_snapshot(
-    index: InvertedIndex,
-    path: PathLike,
-    slice_meta: Optional[Dict[str, object]] = None,
-) -> None:
-    """Write *index*'s section arrays, unchanged, to *path*.
-
-    *slice_meta*, when given, is embedded verbatim as the header's
-    ``"slice"`` key -- the topology layer uses it to mark a snapshot as
-    shard *k* of *N* with its date range (see
-    :mod:`repro.serve.topology`), and :func:`snapshot_info` surfaces it
-    without reading the payload so shard layouts print in O(1).
-    """
-    sections = index.sections()
-    meta = _header_meta(index, sections)
-    if slice_meta is not None:
-        meta["slice"] = dict(slice_meta)
-    write_section_file(
-        path,
-        SNAPSHOT_MAGIC_V2,
-        SNAPSHOT_FORMAT_VERSION_V2,
-        sections,
-        meta=meta,
-    )
 
 
 # -- load --------------------------------------------------------------------
 
 
-def _read_header(
-    handle,
-    magic: str = SNAPSHOT_MAGIC_V2,
-    format_version: int = SNAPSHOT_FORMAT_VERSION_V2,
-) -> Tuple[Dict[str, object], int]:
-    """Parse the meta line; returns ``(header, header_line_bytes)``.
-
-    The header must carry *magic* and declare *format_version*; the
-    defaults accept a snapshot, and section-file readers
-    (:func:`read_section_file`) pass their own.
-    """
+def _read_header(handle) -> Tuple[Dict[str, object], int]:
+    """Parse the meta line; returns ``(header, header_line_bytes)``."""
     line = handle.readline(_MAX_HEADER_BYTES + 1)
     if len(line) > _MAX_HEADER_BYTES or not line.endswith(b"\n"):
         raise SnapshotError("snapshot header missing or oversized")
@@ -313,13 +231,14 @@ def _read_header(
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"snapshot header is not JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("meta") != magic:
-        raise SnapshotError(f"not a {magic} file")
-    if header.get("format_version") != format_version:
+    if not isinstance(header, dict) or header.get("meta") != SNAPSHOT_MAGIC_V2:
+        raise SnapshotError(f"not a {SNAPSHOT_MAGIC_V2} file")
+    if header.get("format_version") != SNAPSHOT_FORMAT_VERSION_V2:
         raise SnapshotError(
             "unsupported snapshot format_version "
             f"{header.get('format_version')!r} "
-            f"(a {magic} file must declare {format_version})"
+            f"(a {SNAPSHOT_MAGIC_V2} file must declare "
+            f"{SNAPSHOT_FORMAT_VERSION_V2})"
         )
     return header, len(line)
 

@@ -12,7 +12,8 @@ routes --
   docs/ingest.md);
 * ``GET /v1/search``    -- raw BM25 dated-sentence search;
 * ``GET /v1/shard/search`` -- internal scatter-gather endpoint: raw
-  per-term match statistics plus slice-level corpus statistics, which a
+  per-term match statistics plus slice-level corpus statistics, as a
+  ``wilson.rpc/v1`` frame, which a
   :class:`~repro.serve.router.TimelineRouter` merges into exact global
   BM25 rankings (see docs/serving.md);
 * ``GET /healthz``      -- liveness + index freshness (503 while draining);
@@ -1078,43 +1079,34 @@ class TimelineServer(HttpServerBase):
         router needs to reproduce the *global* ranking exactly (see
         :func:`repro.search.query.gather_candidates`).
 
-        Encoding is negotiated: a client whose ``Accept`` header names
-        ``application/x-wilson-rpc`` gets the payload as a binary
-        ``wilson.rpc/v1`` candidate frame
-        (:mod:`repro.serve.frames`); everyone else gets canonical JSON.
-        Both encodings serialise the same
-        :func:`~repro.search.query.candidates_payload` dict, so they
-        decode bit-exactly equal.
+        The answer is always a binary ``wilson.rpc/v1`` candidate frame
+        (:mod:`repro.serve.frames`) encoding the
+        :func:`~repro.search.query.candidates_payload` dict: the route
+        is internal, and its one client, the router, reads frames only.
         """
         self.metrics.counter("serve.shard_search_requests").inc()
         search_query = parse_search_query(request.query)
-        binary = RPC_CONTENT_TYPE in request.headers.get("accept", "")
         engine = self.system.engine
         loop = asyncio.get_running_loop()
 
-        def compute() -> Tuple[bytes, str]:
+        def compute() -> bytes:
             candidates = gather_candidates(
                 engine.index,
                 search_query,
                 params=engine.bm25_params,
                 cache=engine.cache,
             )
-            payload = candidates_payload(
-                engine.index,
-                candidates,
-                self.system.index_version,
-                WIRE_SCHEMA,
+            return encode_shard_search(
+                candidates_payload(
+                    engine.index,
+                    candidates,
+                    self.system.index_version,
+                    WIRE_SCHEMA,
+                )
             )
-            if binary:
-                return encode_shard_search(payload), RPC_CONTENT_TYPE
-            return canonical_json(payload), "application/json"
 
-        response_body, content_type = await loop.run_in_executor(
-            None, compute
-        )
-        return _Response(
-            200, response_body, content_type=content_type
-        )
+        response_body = await loop.run_in_executor(None, compute)
+        return _Response(200, response_body, content_type=RPC_CONTENT_TYPE)
 
     async def _handle_ingest(self, request: _Request) -> _Response:
         """``POST /v1/ingest``: admit a batch of articles into the plane.

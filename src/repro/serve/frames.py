@@ -22,19 +22,18 @@ decode -- a truncated or corrupted frame raises :class:`FrameError`
 (a ``ValueError``, so the router's existing bad-payload handling
 treats it as a replica failure).
 
-The codec is **bit-exact** with the JSON path:
+The codec is **bit-exact**:
 ``decode_shard_search(encode_shard_search(payload))`` returns a dict
 equal to *payload* -- every value in a shard-search payload is an
 ``int``, ``bool`` or ``str`` (dates travel as proleptic-Gregorian
 ordinals and come back through ``date.fromordinal().isoformat()``,
 which round-trips ISO dates exactly), so the merged BM25 scores the
-router computes are the same floats either way
+router computes are the floats an in-process merge would compute
 (tests/test_serve_frames.py).
 
-Negotiation: the router sends ``Accept: application/x-wilson-rpc``;
-a worker that understands it answers with that content type, an old
-worker ignores the header and answers JSON -- mixed fleets keep
-working during a rollout.
+Frames are the route's only encoding: the router sends ``Accept:
+application/x-wilson-rpc`` and a worker always answers with that
+content type.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ from repro.search.columns import pack_strings, unpack_strings
 #: The frame format identifier (meta ``magic`` field).
 RPC_SCHEMA = "wilson.rpc/v1"
 
-#: The negotiated content type; sent as ``Accept`` by the router and
-#: echoed as ``Content-Type`` by workers that speak the format.
+#: The frames' content type; sent as ``Accept`` by the router and as
+#: ``Content-Type`` by every worker's ``/v1/shard/search``.
 RPC_CONTENT_TYPE = "application/x-wilson-rpc"
 
 #: Section alignment (bytes). Eight covers every dtype used here.

@@ -303,11 +303,13 @@ def export_slices(
         save_snapshot(
             slice_index,
             out_dir / slice_name,
-            slice_meta={
-                "shard_id": shard_id,
-                "num_shards": num_shards,
-                "start": start.isoformat() if start else None,
-                "end": end.isoformat() if end else None,
+            extra={
+                "slice": {
+                    "shard_id": shard_id,
+                    "num_shards": num_shards,
+                    "start": start.isoformat() if start else None,
+                    "end": end.isoformat() if end else None,
+                },
             },
         )
         shards.append(

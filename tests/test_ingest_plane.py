@@ -3,7 +3,8 @@
 Pins the subsystem's core guarantee -- **a streamed corpus is
 indistinguishable from a cold re-index of the same articles**:
 
-* ``wilson.segment/v1`` files round-trip exactly and refuse corruption
+* segment files -- ``wilson.snapshot/v2`` files with a ``"segment"``
+  header key -- round-trip section for section and refuse corruption
   or analyzer drift (:mod:`repro.ingest.segment`);
 * the :class:`~repro.ingest.LiveIndex` overlay answers every read-API
   question identically to a cold :class:`~repro.search.index.
@@ -20,28 +21,36 @@ import datetime
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.ingest.plane as plane_module
 from repro.ingest import (
     INGEST_METRIC_NAMES,
     IngestConfig,
     IngestPlane,
     IngestQueue,
     LiveIndex,
-    SEGMENT_MAGIC,
     build_segment,
     list_segments,
     load_segment,
-    segment_info,
     write_segment,
 )
 from repro.obs.metrics import Metrics
+from repro.search.columns import SECTIONS
 from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
+from repro.search.query import SearchQuery
 from repro.search.realtime import RealTimeTimelineSystem
-from repro.search.snapshot import SnapshotError
+from repro.search.snapshot import (
+    SNAPSHOT_MAGIC_V2,
+    SnapshotError,
+    load_snapshot,
+    snapshot_info,
+)
+from repro.text import analysis
 from repro.text.analysis import TokenCache
 from repro.tlsdata.types import Article
 
@@ -140,14 +149,29 @@ def timeline_bytes(system):
 
 
 # ---------------------------------------------------------------------------
-# wilson.segment/v1 format
+# Segments on disk: wilson.snapshot/v2 files with a "segment" header key
 # ---------------------------------------------------------------------------
+
+
+def assert_same_sections(left, right):
+    """*left* and *right* hold equal section arrays of equal dtypes."""
+    left, right = left.sections(), right.sections()
+    assert list(left) == [name for name, _ in SECTIONS] == list(right)
+    for name in left:
+        assert left[name].dtype == right[name].dtype, name
+        assert np.array_equal(left[name], right[name]), name
 
 
 class TestSegmentFormat:
     @pytest.fixture()
     def engine(self):
         return SearchEngine()
+
+    def _written(self, engine, tmp_path, seq=0):
+        sealed = build_segment(
+            seq, make_articles()[:2], engine.tagger, cache=engine.cache
+        )
+        return write_segment(sealed, tmp_path / f"segment-{seq:06d}.seg")
 
     def test_round_trip_is_exact(self, engine, tmp_path):
         articles = make_articles()[:3]
@@ -157,10 +181,12 @@ class TestSegmentFormat:
         assert sealed.seq == 7
         assert sealed.articles == 3
         assert sealed.documents == len(sealed.index)
+        assert sealed.touched_dates == frozenset(sealed.index.dates())
         assert sealed.nbytes == 0 and sealed.path is None
 
         written = write_segment(sealed, tmp_path / "segment-000007.seg")
-        assert written.path is not None and written.nbytes > 0
+        assert written.path is not None
+        assert written.nbytes == written.path.stat().st_size > 0
         # The original segment is immutable; write returns a copy.
         assert sealed.path is None
 
@@ -169,72 +195,77 @@ class TestSegmentFormat:
         assert loaded.articles == sealed.articles
         assert loaded.documents == sealed.documents
         assert loaded.touched_dates == sealed.touched_dates
-        for doc_id in range(sealed.documents):
-            original = sealed.index.document(doc_id)
-            restored = loaded.index.document(doc_id)
-            assert restored == original
-        tokens = list(sealed.index.tokens_with_postings())
-        assert list(loaded.index.tokens_with_postings()) == tokens
-        for token in tokens:
-            postings = sealed.index.postings(token)
-            assert loaded.index.postings(token) == postings
-            for doc_id in postings:
-                assert loaded.index.positions(token, doc_id) == (
-                    sealed.index.positions(token, doc_id)
-                )
+        assert loaded.index.index_version == sealed.index.index_version
+        assert loaded.nbytes == written.nbytes
+        assert_same_sections(loaded.index, sealed.index)
+        # A segment file is a snapshot: the generic loader reads it too.
+        assert_same_sections(
+            load_snapshot(written.path, mode="mmap"), sealed.index
+        )
+
+    def test_writing_builds_no_document(self, engine, tmp_path, monkeypatch):
+        def no_document(self, doc_id):
+            raise AssertionError("the seal built a document")
+
+        monkeypatch.setattr(InvertedIndex, "document", no_document)
+        written = self._written(engine, tmp_path)
+        assert written.nbytes > 0
 
     def test_header_is_readable_without_payload(self, engine, tmp_path):
-        sealed = build_segment(
-            3, make_articles()[:2], engine.tagger, cache=engine.cache
-        )
-        path = tmp_path / "segment-000003.seg"
-        write_segment(sealed, path)
-        header = segment_info(path)
-        # User meta merges top-level; "meta" itself is the magic string.
-        assert header["meta"] == SEGMENT_MAGIC
-        assert header["segment_seq"] == 3
-        assert header["documents"] == sealed.documents
-        assert header["articles"] == 2
-        assert header["touched_dates"] == sorted(
-            day.isoformat() for day in sealed.touched_dates
-        )
+        written = self._written(engine, tmp_path, seq=3)
+        header = snapshot_info(written.path)
+        assert header["meta"] == SNAPSHOT_MAGIC_V2
+        assert header["segment"] == {"seq": 3, "articles": 2}
+        assert header["documents"] == written.documents
+        assert header["index_version"] == written.index.index_version
+        assert header["date_span"] == [
+            min(written.touched_dates).isoformat(),
+            max(written.touched_dates).isoformat(),
+        ]
         assert header["analyzer"] == {
             "stem": True, "drop_stopwords": True,
         }
 
+    def _assert_refused(self, path, cache, match=None):
+        """Loading *path* raises before the cache learns anything."""
+        before = len(cache)
+        with pytest.raises(SnapshotError, match=match):
+            load_segment(path, cache=cache)
+        assert len(cache) == before
+
     def test_corruption_raises_not_partial_state(self, engine, tmp_path):
-        sealed = build_segment(
-            0, make_articles()[:2], engine.tagger, cache=engine.cache
-        )
-        path = tmp_path / "segment-000000.seg"
-        write_segment(sealed, path)
-        blob = bytearray(path.read_bytes())
-        blob[-10] ^= 0xFF  # flip a payload byte past the header
-        path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError):
-            load_segment(path, cache=engine.cache)
+        path = self._written(engine, tmp_path).path
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-10])  # truncated
+        self._assert_refused(path, TokenCache(), match="overruns")
+        flipped = bytearray(blob)
+        flipped[-10] ^= 0xFF  # flip a payload byte past the header
+        path.write_bytes(bytes(flipped))
+        self._assert_refused(path, TokenCache(), match="checksum")
 
     def test_analyzer_mismatch_refuses_to_replay(self, engine, tmp_path):
-        sealed = build_segment(
-            0, make_articles()[:1], engine.tagger, cache=engine.cache
-        )
+        path = self._written(engine, tmp_path).path
+        self._assert_refused(path, TokenCache(stem=False), match="analyzer")
+
+    def test_a_snapshot_without_the_segment_key_is_no_segment(
+        self, engine, tmp_path
+    ):
         path = tmp_path / "segment-000000.seg"
-        write_segment(sealed, path)
-        with pytest.raises(SnapshotError, match="analyzer"):
-            load_segment(path, cache=TokenCache(stem=False))
+        cold_system(make_articles()[:1]).engine.save_snapshot(path)
+        with pytest.raises(SnapshotError, match="segment key"):
+            load_segment(path, cache=engine.cache)
 
     def test_list_segments_sorts_by_sequence(self, engine, tmp_path):
-        for seq in (2, 0, 1):
-            sealed = build_segment(
-                seq, make_articles()[:1], engine.tagger,
-                cache=engine.cache,
-            )
-            write_segment(sealed, tmp_path / f"segment-{seq:06d}.seg")
+        for seq in (1000000, 2, 999999, 0, 1):
+            (tmp_path / f"segment-{seq:06d}.seg").touch()
+        (tmp_path / ".segment-000003.seg.1-2.tmp").touch()
         names = [p.name for p in list_segments(tmp_path)]
         assert names == [
             "segment-000000.seg",
             "segment-000001.seg",
             "segment-000002.seg",
+            "segment-999999.seg",
+            "segment-1000000.seg",
         ]
         assert list_segments(tmp_path / "absent") == []
 
@@ -743,6 +774,154 @@ class TestCompactionDurability:
 
 
 # ---------------------------------------------------------------------------
+# Recovery: segment files load as snapshots, in seal order, untokenised
+# ---------------------------------------------------------------------------
+
+
+class TestSegmentRecovery:
+    def test_recovery_tokenises_nothing(self, tmp_path, monkeypatch):
+        articles = make_articles()
+        config = IngestConfig(segments_dir=tmp_path)
+        _, plane = live_system([articles[:2]], config=config)
+        plane.compact()  # leaves compacted.snapshot behind
+        plane.ingest(articles[2:4])
+        plane.ingest(articles[4:])
+
+        calls = []
+        original = analysis.tokenize_for_matching
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        restarted = RealTimeTimelineSystem()
+        metrics = Metrics()
+        monkeypatch.setattr(analysis, "tokenize_for_matching", counting)
+        IngestPlane(restarted, config, metrics=metrics)
+        assert metrics.counter("ingest.segments_recovered").value == 2
+        assert calls == []
+        monkeypatch.undo()
+        assert timeline_bytes(restarted) == (
+            timeline_bytes(cold_system(articles))
+        )
+
+    def test_restarted_plane_compacts_to_the_cold_snapshot(self, tmp_path):
+        articles = make_articles()
+        config = IngestConfig(segments_dir=tmp_path / "segments")
+        live_system([articles[:3], articles[3:]], config=config)
+
+        plane = IngestPlane(RealTimeTimelineSystem(), config)
+        assert plane.live.segment_count == 2
+        report = plane.compact(snapshot_path=tmp_path / "restarted.snap")
+        cold_path = tmp_path / "cold.snap"
+        cold_system(articles).engine.save_snapshot(cold_path)
+        assert report.snapshot_path.read_bytes() == cold_path.read_bytes()
+
+    def test_segments_past_seq_999999_recover_in_seal_order(
+        self, tmp_path
+    ):
+        articles = make_articles()
+        config = IngestConfig(segments_dir=tmp_path)
+        sealed = RealTimeTimelineSystem()
+        sealed.ingest(articles[:2])
+        plane = IngestPlane(sealed, config)
+        plane._seq = 999_999  # a long-running writer's counter
+        plane.ingest(articles[2:4])
+        plane.ingest(articles[4:])
+        # As strings, the later seal's name sorts first.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "segment-1000000.seg",
+            "segment-999999.seg",
+        ]
+
+        restarted = RealTimeTimelineSystem()
+        restarted.ingest(articles[:2])
+        recovered = IngestPlane(restarted, config)
+        assert [s.seq for s in recovered.live.segments] == [
+            999_999, 1_000_000,
+        ]
+        for original, loaded in zip(
+            plane.live.segments, recovered.live.segments
+        ):
+            assert loaded.touched_dates == original.touched_dates
+            assert_same_sections(loaded.index, original.index)
+        live, expected = restarted.engine.index, sealed.engine.index
+        assert live.index_version == expected.index_version
+        assert [live.document(i) for i in range(len(live))] == [
+            expected.document(i) for i in range(len(expected))
+        ]
+        recovered.ingest([make_articles()[0]])  # a duplicate: no seal
+        assert recovered._seq == 1_000_001
+
+    def test_a_retired_segment_file_fails_attach_naming_it(self, tmp_path):
+        articles = make_articles()
+        config = IngestConfig(segments_dir=tmp_path)
+        live_system([articles[:2]], config=config)
+        retired = tmp_path / "segment-000001.seg"
+        header = {
+            "meta": "wilson.segment/v1",
+            "format_version": 1,
+            "segment_seq": 1,
+            "documents": 0,
+            "articles": 0,
+            "touched_dates": [],
+            "sections": {},
+        }
+        retired.write_bytes(
+            json.dumps(header, sort_keys=True).encode() + b"\n"
+        )
+
+        system = RealTimeTimelineSystem()
+        before = system.index_version
+        # Never skipped: skipping would drop acknowledged writes.
+        with pytest.raises(SnapshotError, match="segment-000001.seg"):
+            IngestPlane(system, config)
+        # Every file loads before any is applied: the readable
+        # segment-000000.seg was not overlaid either.
+        assert system.index_version == before
+
+    def test_index_info_describes_a_segments_directory(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        articles = make_articles()
+        system = cold_system(articles[:2])
+        base = tmp_path / "base.snap"
+        system.engine.save_snapshot(base)
+        segments = tmp_path / "segments"
+        plane = IngestPlane(system, IngestConfig(segments_dir=segments))
+        plane.ingest(articles[2:4])
+        plane.ingest(articles[4:])
+        capsys.readouterr()
+
+        args = ["index-info", str(base), "--segments", str(segments)]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        lines = [
+            line.strip()
+            for line in out.splitlines()
+            if line.strip().startswith("segment-")
+        ]
+        expected = []
+        for segment in plane.live.segments:
+            expected.append(
+                f"{segment.path.name}: seq {segment.seq}, "
+                f"{segment.documents} documents, 2 articles, "
+                f"{min(segment.touched_dates)} .. "
+                f"{max(segment.touched_dates)}, {segment.nbytes} bytes"
+            )
+        assert lines == expected
+        assert f"live index_version:         {system.index_version}" in out
+
+        # index-info reads a segment file as the snapshot it is.
+        assert main(["index-info", str(segments / "segment-000001.seg")]) == 0
+        assert "segment:       seq 1, 2 articles ingested" in (
+            capsys.readouterr().out
+        )
+
+
+# ---------------------------------------------------------------------------
 # Ingest idempotency: re-submitted batches never duplicate documents
 # ---------------------------------------------------------------------------
 
@@ -796,6 +975,44 @@ class TestIngestIdempotency:
         assert recovered.ingest(articles[:3]) == 0
         assert restarted.engine.index.segment_count == 1
 
+    def test_a_failed_segment_write_does_not_block_the_retry(
+        self, tmp_path, monkeypatch
+    ):
+        articles = make_articles()
+        metrics = Metrics()
+        system, plane = live_system(
+            [articles[:4]],
+            config=IngestConfig(segments_dir=tmp_path),
+            metrics=metrics,
+        )
+        before = system.index_version
+        write = plane_module.write_segment
+        failed = []
+
+        def fails_once(segment, path):
+            if not failed:
+                failed.append(path)
+                raise OSError(28, "No space left on device")
+            return write(segment, path)
+
+        monkeypatch.setattr(plane_module, "write_segment", fails_once)
+        with pytest.raises(OSError):
+            plane.ingest(articles[4:5])
+        assert system.index_version == before
+
+        documents = plane.ingest(articles[4:5])
+        assert documents > 0
+        assert system.index_version == before + documents
+        assert metrics.counter("ingest.articles_deduplicated").value == 0
+        hits = system.engine.search(
+            SearchQuery(
+                keywords=("truce",),
+                start=d("2021-03-12"),
+                end=d("2021-03-13"),
+            )
+        )
+        assert "a5" in {hit.document.article_id for hit in hits}
+
     def test_dedup_set_reads_article_tables_not_documents(
         self, tmp_path, monkeypatch
     ):
@@ -837,8 +1054,7 @@ class TestIngestIdempotency:
         def no_document(doc_id):
             raise AssertionError("the dedup set built a document")
 
-        # Every document already in the live view; the seal below still
-        # builds its own new segment's documents to write the file.
+        # Every document already in the live view.
         for sub in (live, live.base, *(s.index for s in live.segments)):
             monkeypatch.setattr(sub, "document", no_document)
         assert live.article_ids() == scan

@@ -4,11 +4,10 @@ The frame codec's whole value is that it changes *nothing* but bytes
 on the wire: ``decode(encode(payload))`` must equal the payload the
 JSON path would have shipped, for real corpus data, empty results and
 unicode text alike. Corruption must fail loudly (:class:`FrameError`),
-and the ``Accept`` negotiation must leave JSON-only clients untouched.
+and ``/v1/shard/search`` answers frames, the route's only encoding.
 """
 
 import http.client
-import json
 import urllib.parse
 
 import pytest
@@ -157,21 +156,31 @@ class TestNegotiation:
         assert payload["schema"] == WIRE_SCHEMA
         assert payload["hits"]
 
-    def test_no_accept_header_still_gets_json(self, server, instance):
-        status, content_type, raw = self._shard_search(server, instance)
-        assert status == 200
-        assert content_type == "application/json"
-        assert json.loads(raw)["schema"] == WIRE_SCHEMA
-
-    def test_both_encodings_carry_identical_payloads(
+    def test_frame_decodes_to_the_in_process_payload(
         self, server, instance
     ):
-        _, _, binary_raw = self._shard_search(
-            server, instance, accept=RPC_CONTENT_TYPE
+        # Frames are the route's only encoding, asked for or not.
+        status, content_type, raw = self._shard_search(server, instance)
+        assert status == 200
+        assert content_type == RPC_CONTENT_TYPE
+        engine = server.system.engine
+        start, end = instance.corpus.window
+        candidates = gather_candidates(
+            engine.index,
+            SearchQuery(
+                keywords=tuple(" ".join(instance.corpus.query).split()),
+                start=start,
+                end=end,
+                limit=500,
+            ),
+            params=engine.bm25_params,
+            cache=engine.cache,
         )
-        _, _, json_raw = self._shard_search(server, instance)
-        assert canonical_json(decode_shard_search(binary_raw)) == (
-            canonical_json(json.loads(json_raw))
+        assert decode_shard_search(raw) == candidates_payload(
+            engine.index,
+            candidates,
+            server.system.index_version,
+            WIRE_SCHEMA,
         )
 
     def test_schema_constants_are_pinned(self):
