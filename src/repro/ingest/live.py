@@ -70,20 +70,20 @@ class _LiveState(NamedTuple):
     total_docs: int
     total_length: int
     version: int
+    #: Per global doc id: content-date ordinal and token count. Global
+    #: ids run through the base, then each segment in seal order, so
+    #: these are the sub-indexes' arrays end to end (read-only).
+    doc_dates: np.ndarray
+    doc_lengths: np.ndarray
     #: ``(date_unique, date_indptr, date_doc_ids)`` over global doc ids.
     dates: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _date_grouping(
-    subs: Tuple[Tuple[InvertedIndex, int], ...]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The overlay's doc ids grouped by content date, as one index of
-    the same documents holds them. Global doc ids run through the base,
-    then each segment in seal order, so the per-document dates are the
-    sub-indexes' ``doc_dates`` sections end to end."""
-    return group_by_date(
-        np.concatenate([sub.sections()["doc_dates"] for sub, _ in subs])
-    )
+def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+    """*arrays* end to end, as one read-only array."""
+    joined = np.concatenate(arrays)
+    joined.flags.writeable = False
+    return joined
 
 
 def _make_state(
@@ -101,6 +101,7 @@ def _make_state(
     subs = ((base, 0),) + tuple(
         (segment.index, offset) for segment, offset in zip(segments, offsets)
     )
+    doc_dates = _joined([sub.doc_dates for sub, _ in subs])
     return _LiveState(
         base=base,
         segments=segments,
@@ -110,7 +111,9 @@ def _make_state(
         total_docs=cursor,
         total_length=total_length,
         version=version,
-        dates=_date_grouping(subs),
+        doc_dates=doc_dates,
+        doc_lengths=_joined([sub.doc_lengths for sub, _ in subs]),
+        dates=group_by_date(doc_dates),
     )
 
 
@@ -118,9 +121,12 @@ class LiveIndex(InvertedIndex):
     """Read-only merge view of a base index and sealed delta segments.
 
     The date reads (:meth:`dates`, :meth:`doc_ids_in_range`,
-    :meth:`documents_on`, :meth:`date_histogram`) and
-    :meth:`phrase_match` are the base class's, over this overlay's
-    :meth:`date_window` and :meth:`positions`.
+    :meth:`documents_on`, :meth:`date_histogram`), :meth:`postings`
+    and :meth:`phrase_match` are the base class's, over this overlay's
+    :meth:`date_window`, :meth:`posting_arrays` and :meth:`positions`.
+    Retrieval reads :meth:`posting_arrays` and the per-document
+    :attr:`doc_dates` / :attr:`doc_lengths`, which each seal builds
+    once, off the read path.
     """
 
     def __init__(
@@ -293,6 +299,14 @@ class LiveIndex(InvertedIndex):
         sub, local, _ = self._route(self._state, doc_id)
         return sub.document_length(local)
 
+    @property
+    def doc_lengths(self) -> np.ndarray:
+        return self._state.doc_lengths
+
+    @property
+    def doc_dates(self) -> np.ndarray:
+        return self._state.doc_dates
+
     def article_ids(self) -> FrozenSet[str]:
         return frozenset().union(
             *(sub.article_ids() for sub, _ in self._state.subs)
@@ -303,13 +317,23 @@ class LiveIndex(InvertedIndex):
             sub.document_frequency(token) for sub, _ in self._state.subs
         )
 
-    def postings(self, token: str) -> Dict[int, int]:
+    def posting_arrays(self, token: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(doc_ids, tf)`` postings of *token*, by doc id.
+
+        The base's postings, then each segment's with its doc ids
+        shifted by the segment's global offset.
+        """
         state = self._state
-        merged = state.base.postings(token)
+        doc_ids, tf = state.base.posting_arrays(token)
+        id_parts, tf_parts = [doc_ids], [tf]
         for sub, offset in state.subs[1:]:
-            for local, tf in sub.postings(token).items():
-                merged[local + offset] = tf
-        return merged
+            sub_ids, sub_tf = sub.posting_arrays(token)
+            if len(sub_ids):
+                id_parts.append(sub_ids + offset)
+                tf_parts.append(sub_tf)
+        if len(id_parts) == 1:
+            return doc_ids, tf
+        return _joined(id_parts), _joined(tf_parts)
 
     def positions(self, token: str, doc_id: int) -> List[int]:
         sub, local, _ = self._route(self._state, doc_id)

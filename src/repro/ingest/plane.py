@@ -149,9 +149,11 @@ class IngestPlane:
         self.config = config or IngestConfig()
         self.metrics = metrics if metrics is not None else Metrics()
         engine = system.engine
-        if not isinstance(engine.index, LiveIndex):
-            engine.index = LiveIndex(engine.index, cache=engine.cache)
-        self.live: LiveIndex = engine.index
+        self.live: LiveIndex = (
+            engine.index
+            if isinstance(engine.index, LiveIndex)
+            else LiveIndex(engine.index, cache=engine.cache)
+        )
         self.queue = IngestQueue(self.config.queue_articles)
         self.writer = SegmentWriter(self)
         self._seal_lock = threading.Lock()
@@ -172,6 +174,9 @@ class IngestPlane:
             # May replace self.live's base with the durable compacted
             # snapshot, so the compactor is constructed afterwards.
             self._recover_segments()
+        # The overlay goes in only once recovery has succeeded: an
+        # attach that raises leaves the engine's own, writable index.
+        engine.index = self.live
         self.compactor = Compactor(self.live)
         # Expose the plane so RealTimeTimelineSystem.ingest routes here
         # (LiveIndex rejects direct writes).
@@ -226,7 +231,6 @@ class IngestPlane:
             and restored.index_version >= base.index_version
         ):
             self.live = LiveIndex(restored, cache=engine.cache)
-            engine.index = self.live
             engine._num_articles = len(restored.article_ids())
         for segment in segments:
             if segment.documents:
@@ -274,7 +278,11 @@ class IngestPlane:
         self.metrics.counter("ingest.articles_accepted").inc(
             len(articles)
         )
-        segment = self._seal_batch(articles)
+        try:
+            segment = self._seal_batch(articles)
+        except Exception:
+            self._record_seal_error(len(articles))
+            raise
         return segment.documents if segment is not None else 0
 
     def flush(self, timeout: float = 10.0) -> bool:

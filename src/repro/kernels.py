@@ -10,6 +10,10 @@ as a pure function over array arguments:
   :func:`bm25_build`;
 * :func:`csr_matvec` -- BM25 score accumulation (one sparse
   matrix-vector product over CSR postings statistics);
+* :func:`bm25_rank` -- keyword retrieval: BM25 scores accumulated from
+  per-term posting arrays into one dense vector, then the top hits by
+  score and doc id (every retrieval path -- ``execute``,
+  ``gather_candidates`` and the router's merge -- is one call);
 * :func:`bm25_day_matrix` -- the all-pairs BM25 TextRank adjacency of a
   day's sentences (``Q @ S.T`` with a zeroed diagonal);
 * :func:`pagerank_iterate` -- the buffered PageRank power iteration,
@@ -32,7 +36,11 @@ The contract, enforced by ``tests/test_kernels.py``:
   :func:`pagerank_iterate` equals (``np.array_equal``, same iteration
   count) the same call on that row by itself. Products stay one
   vector-matrix product per row and row sums reduce C-contiguous rows
-  (see the function's docstring for why each matters).
+  (see the function's docstring for why each matters);
+* **retrieval adds in query order**: :func:`bm25_rank` evaluates each
+  posting's contribution with the scalar expression's operation order
+  and adds whole terms one after another, so every score equals the
+  per-posting Python loop it replaced (``==`` on the float).
 
 Keeping the kernels free of Python-object traffic (no dicts, no strings,
 no scipy-object ownership beyond locally constructed matrices) is what
@@ -42,7 +50,7 @@ would let a numba/Cython build drop in behind the same signatures.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +58,7 @@ __all__ = [
     "bm25_build",
     "bm25_saturate",
     "csr_matvec",
+    "bm25_rank",
     "bm25_day_matrix",
     "pagerank_iterate",
     "redundancy_accept",
@@ -171,6 +180,52 @@ def csr_matvec(
         (data, indices, indptr), shape=shape, copy=False
     )
     return np.asarray(matrix @ np.asarray(vector), dtype=np.float64)
+
+
+def bm25_rank(
+    postings: Sequence[Tuple[np.ndarray, np.ndarray]],
+    idf: Sequence[float],
+    doc_lengths: np.ndarray,
+    avgdl: float,
+    k1: float,
+    b: float,
+    candidates: np.ndarray,
+    limit: int,
+    keys: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Okapi BM25 retrieval over posting arrays; ``(rows, scores)``.
+
+    *postings* holds one ``(rows, tf)`` pair per query term, in query
+    order with duplicate terms kept: ascending, distinct rows into
+    *doc_lengths* (doc ids, or hit rows for a merger) and each row's
+    term frequency. *idf* carries each term's weight as a Python float
+    (a ``math.log`` of the caller's document frequency). Every posting
+    adds ``idf * tf * (k1 + 1.0) / (tf + norm)``, with ``norm = k1 *
+    (1.0 - b + b * length / avgdl)``, into one dense float64 score
+    vector, a whole term at a time.
+
+    Returns the best *limit* of the ascending, distinct *candidates*
+    rows -- score descending, then *keys* ascending (the rows
+    themselves by default; a merger passes global doc ids) -- and their
+    scores.
+
+    Bit-identity with the per-posting loop ``scores[d] =
+    scores.get(d, 0.0) + contribution``: the vector operations evaluate
+    each element in the scalar expression's order, an ``int`` length or
+    tf converts to float64 exactly either way, a term's rows are
+    distinct (so one fancy-indexed add is one add per row) and terms
+    are added in query order (the sum's association). A row a term does
+    not list receives no add at all. The inputs are only read.
+    """
+    scores = np.zeros(len(doc_lengths), dtype=np.float64)
+    for (rows, tf), weight in zip(postings, idf):
+        norm = k1 * (1.0 - b + b * doc_lengths[rows] / avgdl)
+        scores[rows] += weight * tf * (k1 + 1.0) / (tf + norm)
+    candidates = np.asarray(candidates, dtype=np.int64)
+    ranked = scores[candidates]
+    tie_break = candidates if keys is None else np.asarray(keys)[candidates]
+    order = np.lexsort((tie_break, -ranked))[:limit]
+    return candidates[order], ranked[order]
 
 
 def bm25_day_matrix(

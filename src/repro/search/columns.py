@@ -145,7 +145,6 @@ class Columns:
         self.num_documents = len(sections["doc_dates"])
         self._strings: Dict[str, List[str]] = dict(strings or {})
         self._rows: Dict[str, Dict[str, int]] = dict(rows or {})
-        self._lengths: Optional[List[int]] = None
         self._total: Optional[int] = None
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -170,18 +169,6 @@ class Columns:
             }
             self._rows[table] = rows
         return rows
-
-    def lengths(self) -> List[int]:
-        """Token count per document, as a list.
-
-        BM25 reads one length per posting: a list index is an order of
-        magnitude cheaper than a checked numpy scalar read, for 8 bytes
-        of private memory per document.
-        """
-        lengths = self._lengths
-        if lengths is None:
-            lengths = self._lengths = self["doc_lengths"].tolist()
-        return lengths
 
     @property
     def total_length(self) -> int:

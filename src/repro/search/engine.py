@@ -13,7 +13,12 @@ import datetime
 from typing import Iterable, List, Optional, Sequence
 
 from repro.search.index import InvertedIndex
-from repro.search.query import SearchHit, SearchQuery, execute
+from repro.search.query import (
+    SearchHit,
+    SearchQuery,
+    execute,
+    top_documents,
+)
 from repro.temporal.tagger import TemporalTagger
 from repro.text.analysis import TokenCache
 from repro.text.bm25 import BM25Parameters
@@ -157,18 +162,21 @@ class SearchEngine:
         limit: int = 5000,
     ) -> List[DatedSentence]:
         """Fetch the dated-sentence pool WILSON consumes for a query event."""
-        hits = self.search(
+        doc_ids, _ = top_documents(
+            self.index,
             SearchQuery(
                 keywords=tuple(keywords), start=start, end=end, limit=limit
-            )
+            ),
+            params=self.bm25_params,
+            cache=self.cache,
         )
         return [
             DatedSentence(
-                date=hit.document.date,
-                text=hit.document.text,
-                publication_date=hit.document.publication_date,
-                article_id=hit.document.article_id,
-                is_reference=hit.document.is_reference,
+                document.date,
+                document.text,
+                document.publication_date,
+                document.article_id,
+                document.is_reference,
             )
-            for hit in hits
+            for document in map(self.index.document, doc_ids.tolist())
         ]

@@ -20,7 +20,13 @@ query layer uses for exact phrase matching.
 Every read returns plain Python values in a fixed order -- ``postings()``
 iterates ascending doc id, date walks go by ascending date and, within a
 date, doc id -- so serialised responses are byte-identical whichever way
-the index was built or loaded.
+the index was built or loaded. Retrieval reads the arrays themselves, as
+read-only views: :meth:`~InvertedIndex.posting_arrays` and the
+per-document :attr:`~InvertedIndex.doc_lengths` /
+:attr:`~InvertedIndex.doc_dates` feed
+:func:`repro.kernels.bm25_rank`; ``postings()``,
+``document_length()`` and ``doc_ids_in_range()`` stay as plain reads
+for everything else.
 """
 
 from __future__ import annotations
@@ -46,6 +52,20 @@ from repro.search import columns as col
 from repro.text.analysis import TokenCache
 
 PathLike = Union[str, pathlib.Path]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of *array* that cannot write through to it."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+#: The ``(doc_ids, tf)`` of a token without postings.
+_NO_POSTINGS = (
+    _read_only(np.zeros(0, dtype=np.int64)),
+    _read_only(np.zeros(0, dtype=np.int32)),
+)
 
 
 @dataclass(frozen=True)
@@ -257,7 +277,17 @@ class InvertedIndex:
         return document
 
     def document_length(self, doc_id: int) -> int:
-        return self._current().lengths()[doc_id]
+        return int(self._current()["doc_lengths"][doc_id])
+
+    @property
+    def doc_lengths(self) -> np.ndarray:
+        """Token count per document, by doc id (a read-only view)."""
+        return _read_only(self._current()["doc_lengths"])
+
+    @property
+    def doc_dates(self) -> np.ndarray:
+        """Content-date ordinal per document, by doc id (read-only)."""
+        return _read_only(self._current()["doc_dates"])
 
     def article_ids(self) -> FrozenSet[str]:
         """The distinct non-empty article ids of the indexed documents.
@@ -286,13 +316,21 @@ class InvertedIndex:
         found = self._entries(token)
         return 0 if found is None else found[2] - found[1]
 
-    def postings(self, token: str) -> Dict[int, int]:
-        """Posting list of *token* as ``{doc_id: tf}``, by ascending doc id."""
+    def posting_arrays(self, token: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(doc_ids, tf)`` postings of *token*, by doc id.
+
+        The token's ``post_doc_ids`` / ``post_tf`` section slices (two
+        empty arrays for a token without postings).
+        """
         found = self._entries(token)
         if found is None:
-            return {}
+            return _NO_POSTINGS
         current, start, stop, doc_ids = found
-        tf = current["post_tf"][start:stop]
+        return _read_only(doc_ids), _read_only(current["post_tf"][start:stop])
+
+    def postings(self, token: str) -> Dict[int, int]:
+        """Posting list of *token* as ``{doc_id: tf}``, by ascending doc id."""
+        doc_ids, tf = self.posting_arrays(token)
         return dict(zip(doc_ids.tolist(), tf.tolist()))
 
     def positions(self, token: str, doc_id: int) -> List[int]:

@@ -1,16 +1,27 @@
-"""BM25-ranked keyword queries with date filters, boolean modes, phrases."""
+"""BM25-ranked keyword queries with date filters, boolean modes, phrases.
+
+:func:`execute` and :func:`gather_candidates` restrict each query
+term's posting arrays to the documents the query's constraints admit,
+then score and rank them with :func:`repro.kernels.bm25_rank`.
+"""
 
 from __future__ import annotations
 
 import datetime
-import heapq
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro import kernels
 from repro.search.index import IndexedSentence, InvertedIndex
 from repro.text.analysis import TokenCache, analyze_query
 from repro.text.bm25 import BM25Parameters
+
+#: One term's ``(doc_ids, tf)`` posting arrays, ascending doc id.
+Postings = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -61,34 +72,118 @@ class SearchHit:
 def _candidate_filter(
     index: InvertedIndex,
     query: SearchQuery,
-    query_tokens: List[str],
-) -> Optional[Set[int]]:
-    """The doc-id set satisfying the structural constraints, or ``None``
-    when no structural constraint applies (pure OR query, no window)."""
-    allowed: Optional[Set[int]] = None
+    terms: Sequence[str],
+) -> Tuple[List[Postings], List[int]]:
+    """Per query term, its postings restricted to the documents meeting
+    *query*'s structural constraints, and its document frequency.
+
+    The date window is an ordinal mask over each term's postings; in
+    ``all``/phrase mode the documents holding every term are the
+    intersection of the terms' sorted doc ids, and a phrase further
+    keeps those :meth:`~InvertedIndex.phrase_match` accepts.
+    """
+    postings = [index.posting_arrays(token) for token in terms]
+    frequencies = [len(doc_ids) for doc_ids, _ in postings]
     if query.start is not None or query.end is not None:
-        allowed = set(index.doc_ids_in_range(query.start, query.end))
-        if not allowed:
-            return set()
-    if query.mode == "all" or query.phrase:
-        containing: Optional[Set[int]] = None
-        for token in query_tokens:
-            docs = set(index.postings(token))
-            containing = docs if containing is None else containing & docs
-            if not containing:
-                return set()
-        if containing is None:
-            return set()
-        if query.phrase:
-            containing = {
-                doc_id
-                for doc_id in containing
-                if index.phrase_match(query_tokens, doc_id)
-            }
-        allowed = (
-            containing if allowed is None else allowed & containing
+        doc_dates = index.doc_dates
+        lo = (query.start or datetime.date.min).toordinal()
+        hi = (query.end or datetime.date.max).toordinal()
+        windowed = []
+        for doc_ids, tf in postings:
+            dates = doc_dates[doc_ids]
+            windowed.append(
+                _keep(doc_ids, tf, (dates >= lo) & (dates <= hi))
+            )
+        postings = windowed
+    if (query.mode == "all" or query.phrase) and postings:
+        containing = functools.reduce(
+            lambda left, right: np.intersect1d(
+                left, right, assume_unique=True
+            ),
+            (doc_ids for doc_ids, _ in postings),
         )
-    return allowed
+        if query.phrase:
+            phrase = list(terms)
+            containing = containing[
+                np.array(
+                    [
+                        index.phrase_match(phrase, doc_id)
+                        for doc_id in containing.tolist()
+                    ],
+                    dtype=bool,
+                )
+            ]
+        postings = [
+            _keep(
+                doc_ids, tf, np.isin(doc_ids, containing, assume_unique=True)
+            )
+            for doc_ids, tf in postings
+        ]
+    return postings, frequencies
+
+
+def _keep(doc_ids: np.ndarray, tf: np.ndarray, mask) -> Postings:
+    return doc_ids[mask], tf[mask]
+
+
+def _matching(postings: Sequence[Postings]) -> np.ndarray:
+    """The ascending doc ids some term's postings list."""
+    if not postings:
+        return np.zeros(0, dtype=np.int64)
+    return np.unique(np.concatenate([doc_ids for doc_ids, _ in postings]))
+
+
+def _rank(
+    index: InvertedIndex,
+    postings: Sequence[Postings],
+    frequencies: Sequence[int],
+    candidates: np.ndarray,
+    limit: int,
+    params: BM25Parameters,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The best *limit* of *candidates* by BM25 over *index*'s live
+    statistics: ``(doc_ids, scores)``, score descending, then doc id."""
+    n = index.num_documents
+    idf = [
+        math.log(1.0 + (n - df + 0.5) / (df + 0.5)) for df in frequencies
+    ]
+    return kernels.bm25_rank(
+        postings,
+        idf,
+        index.doc_lengths,
+        index.average_length or 1.0,
+        params.k1,
+        params.b,
+        candidates,
+        limit,
+    )
+
+
+def top_documents(
+    index: InvertedIndex,
+    query: SearchQuery,
+    params: BM25Parameters = BM25Parameters(),
+    cache: Optional[TokenCache] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """*query*'s best ``query.limit`` doc ids and BM25 scores, best first.
+
+    The ranking :func:`execute` wraps in :class:`SearchHit` objects,
+    for callers that build their own per-hit objects.
+    """
+    if cache is None:
+        cache = index.cache
+    query_tokens = analyze_query(cache, query.keywords)
+    if not query_tokens or index.num_documents == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+    postings, frequencies = _candidate_filter(index, query, query_tokens)
+    return _rank(
+        index,
+        postings,
+        frequencies,
+        _matching(postings),
+        query.limit,
+        params,
+    )
 
 
 def execute(
@@ -104,43 +199,10 @@ def execute(
     ``all``/phrase mode) the boolean constraints first. *cache* falls
     back to the index's own analysis cache when not given.
     """
-    if cache is None:
-        cache = index.cache
-    query_tokens = analyze_query(cache, query.keywords)
-    if not query_tokens:
-        return []
-    n = index.num_documents
-    if n == 0:
-        return []
-    allowed = _candidate_filter(index, query, query_tokens)
-    if allowed is not None and not allowed:
-        return []
-
-    avgdl = index.average_length or 1.0
-    k1, b = params.k1, params.b
-
-    scores: dict = {}
-    for token in query_tokens:
-        df = index.document_frequency(token)
-        if df == 0:
-            continue
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for doc_id, tf in index.postings(token).items():
-            if allowed is not None and doc_id not in allowed:
-                continue
-            norm = k1 * (
-                1.0 - b + b * index.document_length(doc_id) / avgdl
-            )
-            scores[doc_id] = scores.get(doc_id, 0.0) + (
-                idf * tf * (k1 + 1.0) / (tf + norm)
-            )
-
-    top = heapq.nlargest(
-        query.limit, scores.items(), key=lambda kv: (kv[1], -kv[0])
-    )
+    doc_ids, scores = top_documents(index, query, params, cache)
     return [
         SearchHit(document=index.document(doc_id), score=score)
-        for doc_id, score in top
+        for doc_id, score in zip(doc_ids.tolist(), scores.tolist())
     ]
 
 
@@ -205,59 +267,39 @@ def gather_candidates(
     """
     if cache is None:
         cache = index.cache
-    query_tokens = analyze_query(cache, query.keywords)
-    terms = tuple(query_tokens)
-    frequencies = tuple(
-        index.document_frequency(token) for token in terms
-    )
-    stats_only = ShardCandidates(
-        terms=terms,
-        documents=index.num_documents,
-        total_tokens=index.total_length,
-        document_frequencies=frequencies,
-        hits=(),
-    )
-    if not terms or index.num_documents == 0:
-        return stats_only
-    allowed = _candidate_filter(index, query, query_tokens)
-    if allowed is not None and not allowed:
-        return stats_only
-
-    rows: dict = {}
-    for position, token in enumerate(terms):
-        for doc_id, tf in index.postings(token).items():
-            if allowed is not None and doc_id not in allowed:
-                continue
-            row = rows.get(doc_id)
-            if row is None:
-                row = [0] * len(terms)
-                rows[doc_id] = row
-            row[position] = tf
-
-    truncated = len(rows) > query.limit
+    terms = tuple(analyze_query(cache, query.keywords))
+    postings, frequencies = _candidate_filter(index, query, terms)
+    doc_ids = _matching(postings)
+    truncated = len(doc_ids) > query.limit
     if truncated:
         # Keep exactly the documents execute() would rank into the local
         # top ``limit`` (by slice-local BM25); global exactness is lost
         # only in this case, and the flag lets mergers report it.
-        kept = {
-            hit.document.doc_id
-            for hit in execute(index, query, params=params, cache=cache)
-        }
-        doc_ids = sorted(doc_id for doc_id in rows if doc_id in kept)
-    else:
-        doc_ids = sorted(rows)
+        top, _ = _rank(
+            index, postings, frequencies, doc_ids, query.limit, params
+        )
+        doc_ids = np.sort(top)
+    # One row per kept document, one column per term (0 = absent).
+    tf = np.zeros((len(doc_ids), len(terms)), dtype=np.int64)
+    for column, (term_ids, term_tf) in enumerate(postings):
+        rows = np.searchsorted(doc_ids, term_ids)
+        kept = rows < len(doc_ids)
+        kept[kept] = doc_ids[rows[kept]] == term_ids[kept]
+        tf[rows[kept], column] = term_tf[kept]
     return ShardCandidates(
         terms=terms,
         documents=index.num_documents,
         total_tokens=index.total_length,
-        document_frequencies=frequencies,
+        document_frequencies=tuple(frequencies),
         hits=tuple(
             ShardCandidate(
-                doc_id=doc_id,
-                length=index.document_length(doc_id),
-                term_frequencies=tuple(rows[doc_id]),
+                doc_id=doc_id, length=length, term_frequencies=tuple(row)
             )
-            for doc_id in doc_ids
+            for doc_id, length, row in zip(
+                doc_ids.tolist(),
+                index.doc_lengths[doc_ids].tolist(),
+                tf.tolist(),
+            )
         ),
         truncated=truncated,
     )

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import datetime
-import heapq
+import itertools
 import json
 import math
 import time
@@ -71,6 +71,9 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
+from repro import kernels
 from repro.core.pipeline import Wilson, WilsonConfig
 from repro.obs.metrics import Metrics
 from repro.search.query import SearchQuery
@@ -293,57 +296,60 @@ def merge_shard_candidates(
         )
 
     # Identical arithmetic to execute(): one float division for avgdl,
-    # the same idf formula, contributions accumulated in term order.
-    avgdl = (global_tokens / global_docs) or 1.0
-    k1, b = params.k1, params.b
+    # the same idf formula, contributions accumulated in term order by
+    # the same kernel. A term adds to the hits whose tf is non-zero.
     idf = [
         math.log(1.0 + (global_docs - d + 0.5) / (d + 0.5)) if d else 0.0
         for d in df
     ]
-
-    scored: List[MergedHit] = []
+    hits: List[Dict[str, Any]] = []
+    shard_of: List[int] = []
+    keys: List[int] = []
     for shard_id in sorted(responses):
-        payload = responses[shard_id]
+        shard_hits = responses[shard_id]["hits"]
         mapping = topology.shards[shard_id].doc_ids
-        for hit in payload["hits"]:
-            length = int(hit["length"])
-            frequencies = hit["tf"]
-            score = 0.0
-            for position in range(len(terms)):
-                tf = frequencies[position]
-                if tf == 0 or df[position] == 0:
-                    continue
-                norm = k1 * (1.0 - b + b * length / avgdl)
-                score += (
-                    idf[position] * tf * (k1 + 1.0) / (tf + norm)
-                )
-            local = int(hit["doc_id"])
-            if local < len(mapping):
-                doc_id = mapping[local]
-            else:
-                # A document ingested after the manifest was cut has no
-                # source-index id. Synthesise a deterministic global id
-                # above every manifest id, disjoint across shards, so
-                # tie-breaks stay stable (post-manifest docs lose ties
-                # to snapshot docs, mirroring their higher doc ids on a
-                # live single index).
-                doc_id = (
-                    topology.total_documents
-                    + (shard_id << 40)
-                    + (local - len(mapping))
-                )
-            scored.append(
-                MergedHit(
-                    doc_id=doc_id,
-                    score=score,
-                    shard_id=shard_id,
-                    payload=hit,
-                )
-            )
-
-    top = heapq.nlargest(
-        limit, scored, key=lambda hit: (hit.score, -hit.doc_id)
+        known = len(mapping)
+        # A document ingested after the manifest was cut has no
+        # source-index id. It gets a deterministic global id above every
+        # manifest id, disjoint across shards, so tie-breaks stay stable
+        # (post-manifest docs lose ties to snapshot docs, mirroring
+        # their higher doc ids on a live single index).
+        unmapped = topology.total_documents + (shard_id << 40) - known
+        keys += [
+            mapping[local] if local < known else unmapped + local
+            for local in [int(hit["doc_id"]) for hit in shard_hits]
+        ]
+        hits += shard_hits
+        shard_of += [shard_id] * len(shard_hits)
+    count, width = len(hits), len(terms)
+    lengths = np.fromiter(
+        (hit["length"] for hit in hits), dtype=np.int64, count=count
     )
+    tf = np.fromiter(
+        itertools.chain.from_iterable(hit["tf"] for hit in hits),
+        dtype=np.int64,
+        count=count * width,
+    ).reshape(count, width)
+    postings = []
+    for position, frequency in enumerate(df):
+        column = tf[:, position]
+        nonzero = np.flatnonzero(column) if frequency else column[:0]
+        postings.append((nonzero, column[nonzero]))
+    rows, scores = kernels.bm25_rank(
+        postings,
+        idf,
+        lengths,
+        (global_tokens / global_docs) or 1.0,
+        params.k1,
+        params.b,
+        np.arange(count),
+        limit,
+        keys=np.array(keys, dtype=np.int64),
+    )
+    top = [
+        MergedHit(keys[row], score, shard_of[row], hits[row])
+        for row, score in zip(rows.tolist(), scores.tolist())
+    ]
     return MergeResult(
         hits=tuple(top), index_version=index_version, truncated=truncated
     )

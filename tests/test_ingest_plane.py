@@ -880,6 +880,25 @@ class TestSegmentRecovery:
         # segment-000000.seg was not overlaid either.
         assert system.index_version == before
 
+    def test_a_failed_attach_leaves_the_engine_writable(self, tmp_path):
+        articles = make_articles()
+        (tmp_path / "segment-000000.seg").write_bytes(b"not a snapshot\n")
+        system = cold_system(articles[:2])
+        original = system.engine.index
+
+        with pytest.raises(SnapshotError, match="segment-000000.seg"):
+            IngestPlane(system, IngestConfig(segments_dir=tmp_path))
+        assert system.engine.index is original
+        assert system.ingest_plane is None
+        # No overlay was left behind: the article is indexed cold.
+        system.ingest([articles[2]])
+        assert timeline_bytes(system) == timeline_bytes(
+            cold_system(articles[:3])
+        )
+        assert system.index_version == cold_system(
+            articles[:3]
+        ).index_version
+
     def test_index_info_describes_a_segments_directory(
         self, tmp_path, capsys
     ):

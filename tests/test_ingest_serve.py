@@ -20,12 +20,14 @@ write-path contract of docs/ingest.md:
   publication date and merged queries keep working afterwards.
 """
 
+import errno
 import http.client
 import json
 import threading
 
 import pytest
 
+import repro.ingest.plane as plane_module
 from repro.core.pipeline import Wilson, WilsonConfig
 from repro.ingest import IngestConfig, IngestPlane
 from repro.obs.metrics import Metrics
@@ -177,6 +179,36 @@ class TestIngestRoute:
         assert status == 200
         timeline = json.loads(raw)["result"]["timeline"]
         assert "2021-03-13" in timeline
+
+    def test_a_failed_sync_seal_is_counted(self, live_server, monkeypatch):
+        running, system, plane = live_server
+        real_write = plane_module.write_segment
+        failures = []
+
+        def full_disk_once(segment, path):
+            if not failures:
+                failures.append(path)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(segment, path)
+
+        monkeypatch.setattr(plane_module, "write_segment", full_disk_once)
+        before = system.index_version
+        payload = {
+            "articles": [wire_article(make_articles()[4])],
+            "sync": True,
+        }
+        status, _, _ = _request(running.port, "POST", "/v1/ingest", payload)
+        assert status == 500
+        assert system.index_version == before
+        status, _, raw = _request(
+            running.port, "POST", "/v1/ingest", payload
+        )
+        assert status == 200
+        assert json.loads(raw)["documents"] > 0
+        assert len(failures) == 1
+        assert plane.metrics.counter("ingest.seal_errors").value == 1
+        assert plane.metrics.counter("ingest.articles_rejected").value == 1
+        assert plane.metrics.counter("ingest.segments_sealed").value == 1
 
     def test_resubmitting_a_sync_batch_is_idempotent(self, live_server):
         # The router's 429-retry contract over the wire: the same batch

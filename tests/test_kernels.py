@@ -78,6 +78,64 @@ def _bm25_fixture():
     return ids_cat, row_lengths
 
 
+@st.composite
+def _retrieval(draw):
+    """Random ``bm25_rank`` inputs: per-term postings over a few docs
+    (terms may repeat), per-term idf, doc lengths and distinct keys."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    lengths = draw(
+        st.lists(st.integers(0, 30), min_size=n, max_size=n)
+    )
+    terms = draw(st.integers(min_value=0, max_value=4))
+    postings, idf = [], []
+    for _ in range(terms):
+        docs = sorted(
+            draw(st.sets(st.integers(0, n - 1), max_size=n))
+        )
+        postings.append(
+            (
+                np.array(docs, dtype=np.int64),
+                np.array(
+                    [draw(st.integers(1, 5)) for _ in docs], dtype=np.int32
+                ),
+            )
+        )
+        idf.append(draw(st.floats(0.01, 4.0)))
+    if terms and draw(st.booleans()):
+        postings.append(postings[0])  # a duplicated query term
+        idf.append(idf[0])
+    keys = np.array(
+        draw(st.permutations(range(0, 3 * n, 3))), dtype=np.int64
+    )
+    return (
+        postings,
+        idf,
+        np.array(lengths, dtype=np.int64),
+        draw(st.floats(0.5, 20.0)),
+        draw(st.sampled_from((0.0, 0.9, 1.2, 1.5))),
+        draw(st.sampled_from((0.0, 0.5, 0.75, 1.0))),
+        keys,
+        draw(st.integers(1, 2 * n)),
+    )
+
+
+def _reference_rank(postings, idf, lengths, avgdl, k1, b, keys, limit):
+    """The per-posting loop ``bm25_rank`` replaced, as ``(row, score)``."""
+    import heapq
+
+    scores = {}
+    for (rows, tf), weight in zip(postings, idf):
+        for row, freq in zip(rows.tolist(), tf.tolist()):
+            norm = k1 * (1.0 - b + b * int(lengths[row]) / avgdl)
+            scores[row] = scores.get(row, 0.0) + (
+                weight * freq * (k1 + 1.0) / (freq + norm)
+            )
+    top = heapq.nlargest(
+        limit, scores.items(), key=lambda kv: (kv[1], -keys[kv[0]])
+    )
+    return [(row, score) for row, score in top]
+
+
 class TestFrozenInputs:
     """Every kernel runs on writeable=False arrays without writing."""
 
@@ -144,6 +202,20 @@ class TestFrozenInputs:
             data, indices, indptr, 3, 2, None, None, None, 0, 0.5
         )
         assert accepted == [0, 2]
+
+    def test_bm25_rank(self):
+        rows = np.array([0, 2], dtype=np.int64)
+        tf = np.array([1, 3], dtype=np.int32)
+        lengths = np.array([4, 2, 3], dtype=np.int64)
+        candidates = np.array([0, 2], dtype=np.int64)
+        keys = np.array([9, 8, 7], dtype=np.int64)
+        _freeze(rows, tf, lengths, candidates, keys)
+        ranked, scores = kernels.bm25_rank(
+            [(rows, tf)], [0.7], lengths, 3.0, 1.2, 0.75, candidates, 5,
+            keys=keys,
+        )
+        assert ranked.tolist() == [2, 0]
+        assert scores[0] > scores[1] > 0.0
 
 
 class TestBitUnchangedInputs:
@@ -290,6 +362,21 @@ class TestBitUnchangedInputs:
         )
         _assert_unchanged(inputs2, before2)
 
+    @given(_retrieval())
+    @settings(max_examples=40, deadline=None)
+    def test_bm25_rank(self, case):
+        postings, idf, lengths, avgdl, k1, b, keys, limit = case
+        candidates = np.arange(len(lengths))
+        inputs = [a for pair in postings for a in pair] + [
+            lengths, keys, candidates,
+        ]
+        before = _snapshot_bytes(inputs)
+        kernels.bm25_rank(
+            postings, idf, lengths, avgdl, k1, b, candidates, limit,
+            keys=keys,
+        )
+        _assert_unchanged(inputs, before)
+
 
 class TestBatchedPageRank:
     """A ``(K, n)`` restart block is its K rows run one at a time.
@@ -384,6 +471,49 @@ class TestBatchedPageRank:
         )
         np.testing.assert_allclose(ranks, restarts)
         assert counts.tolist() == [0, 0, 0]
+
+
+class TestBM25Rank:
+    """``bm25_rank`` equals the per-posting loop it replaced, bit for bit."""
+
+    @given(_retrieval())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_posting_loop(self, case):
+        postings, idf, lengths, avgdl, k1, b, keys, limit = case
+        touched = sorted({r for rows, _ in postings for r in rows.tolist()})
+        ranked, scores = kernels.bm25_rank(
+            postings, idf, lengths, avgdl, k1, b,
+            np.array(touched, dtype=np.int64), limit, keys=keys,
+        )
+        assert list(zip(ranked.tolist(), scores.tolist())) == (
+            _reference_rank(postings, idf, lengths, avgdl, k1, b, keys,
+                            limit)
+        )
+
+    def test_ties_break_by_key_then_limit(self):
+        rows = np.array([0, 1, 2], dtype=np.int64)
+        tf = np.ones(3, dtype=np.int32)
+        lengths = np.full(3, 5, dtype=np.int64)
+        ranked, scores = kernels.bm25_rank(
+            [(rows, tf)], [1.0], lengths, 5.0, 1.2, 0.75, rows, 2
+        )
+        assert ranked.tolist() == [0, 1] and scores[0] == scores[1]
+        ranked, _ = kernels.bm25_rank(
+            [(rows, tf)], [1.0], lengths, 5.0, 1.2, 0.75, rows, 2,
+            keys=np.array([5, 9, 1], dtype=np.int64),
+        )
+        assert ranked.tolist() == [2, 0]
+
+    def test_an_untouched_candidate_scores_zero(self):
+        # A merger ranks every hit it received, matched or not.
+        rows = np.array([1], dtype=np.int64)
+        ranked, scores = kernels.bm25_rank(
+            [(rows, np.array([2], dtype=np.int32))], [0.5],
+            np.array([3, 3], dtype=np.int64), 3.0, 1.2, 0.75,
+            np.arange(2), 10,
+        )
+        assert ranked.tolist() == [1, 0]
+        assert scores[1] == 0.0
 
 
 class TestKernelSemantics:
