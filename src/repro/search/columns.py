@@ -88,15 +88,26 @@ def pack_strings(values: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
     return buffer, indptr
 
 
-def unpack_strings(buffer: np.ndarray, indptr: np.ndarray) -> List[str]:
+def unpack_strings(
+    buffer: np.ndarray,
+    indptr: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+) -> List[str]:
+    """The strings packed as ``(buffer, indptr)``: every one, or only
+    those of *rows*, in that order."""
     # One zero-copy view; each string decodes straight out of the
     # buffer (str accepts a memoryview) instead of first materialising
     # the whole payload with .tobytes() and then slicing it again.
     view = memoryview(np.ascontiguousarray(buffer))
-    bounds = indptr.tolist()
+    if rows is None:
+        starts = indptr[:-1].tolist()
+        stops = indptr[1:].tolist()
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = indptr[rows].tolist()
+        stops = indptr[rows + 1].tolist()
     return [
-        str(view[bounds[i] : bounds[i + 1]], "utf-8")
-        for i in range(len(bounds) - 1)
+        str(view[start:stop], "utf-8") for start, stop in zip(starts, stops)
     ]
 
 

@@ -11,12 +11,12 @@ import datetime
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import kernels
-from repro.search.index import IndexedSentence, InvertedIndex
+from repro.search.index import DocumentColumns, IndexedSentence, InvertedIndex
 from repro.text.analysis import TokenCache, analyze_query
 from repro.text.bm25 import BM25Parameters
 
@@ -206,16 +206,7 @@ def execute(
     ]
 
 
-@dataclass(frozen=True)
-class ShardCandidate:
-    """One matching document with its raw per-term match statistics."""
-
-    doc_id: int
-    length: int
-    term_frequencies: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShardCandidates:
     """Everything a merger needs to re-score this index's matches globally.
 
@@ -232,17 +223,41 @@ class ShardCandidates:
 
     ``terms`` is the analyzed query-token sequence *in query order*
     (duplicates kept): score contributions must be accumulated in that
-    order for float-exact equality. ``truncated`` flags that the slice
-    had more matches than ``query.limit`` and returned only its locally
-    best ones -- the only case where the merged ranking can diverge.
+    order for float-exact equality. The hits are columns: ``doc_ids``
+    (ascending, slice-local), their ``lengths`` and the ``tf`` matrix,
+    one row per hit and one column per term (0 = absent).
+    ``truncated`` flags that the slice had more matches than
+    ``query.limit`` and returned only its locally best ones -- the only
+    case where the merged ranking can diverge.
     """
 
     terms: Tuple[str, ...]
     documents: int
     total_tokens: int
     document_frequencies: Tuple[int, ...]
-    hits: Tuple[ShardCandidate, ...]
+    doc_ids: np.ndarray  # int64
+    lengths: np.ndarray  # int64
+    tf: np.ndarray  # int64, (hits, terms)
     truncated: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class ShardPayload:
+    """One ``/v1/shard/search`` answer: a slice's candidates plus their
+    document fields, row for row, as columns.
+
+    What :func:`candidates_payload` builds on a shard and
+    :func:`repro.serve.frames.decode_shard_search` hands the router.
+    """
+
+    schema: str
+    index_version: int
+    candidates: ShardCandidates
+    fields: DocumentColumns
+
+    @property
+    def count(self) -> int:
+        return len(self.candidates.doc_ids)
 
 
 def gather_candidates(
@@ -291,16 +306,9 @@ def gather_candidates(
         documents=index.num_documents,
         total_tokens=index.total_length,
         document_frequencies=tuple(frequencies),
-        hits=tuple(
-            ShardCandidate(
-                doc_id=doc_id, length=length, term_frequencies=tuple(row)
-            )
-            for doc_id, length, row in zip(
-                doc_ids.tolist(),
-                index.doc_lengths[doc_ids].tolist(),
-                tf.tolist(),
-            )
-        ),
+        doc_ids=doc_ids,
+        lengths=index.doc_lengths[doc_ids],
+        tf=tf,
         truncated=truncated,
     )
 
@@ -310,45 +318,19 @@ def candidates_payload(
     candidates: ShardCandidates,
     index_version: int,
     schema: str,
-) -> Dict[str, Any]:
-    """The ``/v1/shard/search`` response payload for *candidates*.
+) -> ShardPayload:
+    """The ``/v1/shard/search`` answer for *candidates*.
 
-    The one serialisation of :func:`gather_candidates` output both wire
-    encodings share: the JSON path runs it through ``canonical_json``,
-    the binary path through
-    :func:`repro.serve.frames.encode_shard_search` -- keeping the two
-    bit-exact by construction (same dict in, see
-    tests/test_serve_frames.py). *schema* is the envelope identifier
-    (the serving tier's ``WIRE_SCHEMA``), passed in to keep this module
-    free of serve-layer imports.
+    Adds each hit's document fields, cut from *index*'s arrays by
+    :meth:`~repro.search.index.InvertedIndex.document_columns`;
+    :func:`repro.serve.frames.encode_shard_search` writes the result as
+    a frame. *schema* is the envelope identifier (the serving tier's
+    ``WIRE_SCHEMA``), passed in to keep this module free of serve-layer
+    imports.
     """
-    hits = []
-    for hit in candidates.hits:
-        document = index.document(hit.doc_id)
-        hits.append(
-            {
-                "doc_id": hit.doc_id,
-                "length": hit.length,
-                "tf": list(hit.term_frequencies),
-                "text": document.text,
-                "date": document.date.isoformat(),
-                "publication_date": (
-                    document.publication_date.isoformat()
-                ),
-                "article_id": document.article_id,
-                "is_reference": document.is_reference,
-            }
-        )
-    return {
-        "schema": schema,
-        "index_version": index_version,
-        "terms": list(candidates.terms),
-        "stats": {
-            "documents": candidates.documents,
-            "total_tokens": candidates.total_tokens,
-            "df": list(candidates.document_frequencies),
-        },
-        "count": len(hits),
-        "truncated": candidates.truncated,
-        "hits": hits,
-    }
+    return ShardPayload(
+        schema=schema,
+        index_version=index_version,
+        candidates=candidates,
+        fields=index.document_columns(candidates.doc_ids),
+    )

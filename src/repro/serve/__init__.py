@@ -103,7 +103,6 @@ from repro.serve.router import (
     ROUTER_GAUGES,
     ROUTER_HISTOGRAMS,
     ROUTER_METRIC_NAMES,
-    MergedHit,
     MergeResult,
     RouterConfig,
     TimelineRouter,
@@ -136,7 +135,6 @@ __all__ = [
     "HttpServerBase",
     "InflightTracker",
     "MergeResult",
-    "MergedHit",
     "MicroBatcher",
     "POOL_COUNTERS",
     "POOL_GAUGES",

@@ -29,6 +29,7 @@ in parallel as a context manager. The CLI's ``serve --shards N
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import os
 import pathlib
@@ -79,6 +80,14 @@ class ShardSlice:
     end: Optional[datetime.date]
     documents: int
     doc_ids: Tuple[int, ...]
+
+    @functools.cached_property
+    def global_ids(self) -> np.ndarray:
+        """``doc_ids`` as one read-only int64 array, built on first use
+        and kept: the router maps every merge's local ids through it."""
+        ids = np.array(self.doc_ids, dtype=np.int64)
+        ids.flags.writeable = False
+        return ids
 
     def describe(self) -> str:
         """One human-readable layout line (used by banners and docs)."""

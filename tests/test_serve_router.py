@@ -17,6 +17,7 @@ pins the sharded-serving contract:
 * the ``router.*`` telemetry stays inside the documented registry.
 """
 
+import dataclasses
 import http.client
 import json
 import socket
@@ -25,7 +26,12 @@ import pytest
 
 from repro.core.pipeline import Wilson, WilsonConfig
 from repro.search.engine import SearchEngine
-from repro.search.query import SearchQuery, execute, gather_candidates
+from repro.search.query import (
+    SearchQuery,
+    candidates_payload,
+    execute,
+    gather_candidates,
+)
 from repro.search.realtime import RealTimeTimelineSystem
 from repro.serve import (
     DEGRADED_HEADER,
@@ -181,34 +187,9 @@ class TestMergeMath:
     """merge_shard_candidates == execute, bit for bit, fixture-free."""
 
     def _payload(self, index, query):
-        candidates = gather_candidates(index, query)
-        return {
-            "index_version": index.index_version,
-            "terms": list(candidates.terms),
-            "stats": {
-                "documents": candidates.documents,
-                "total_tokens": candidates.total_tokens,
-                "df": list(candidates.document_frequencies),
-            },
-            "truncated": candidates.truncated,
-            "hits": [
-                {
-                    "doc_id": hit.doc_id,
-                    "length": hit.length,
-                    "tf": list(hit.term_frequencies),
-                    "text": index.document(hit.doc_id).text,
-                    "date": index.document(hit.doc_id).date.isoformat(),
-                    "publication_date": index.document(
-                        hit.doc_id
-                    ).publication_date.isoformat(),
-                    "article_id": index.document(hit.doc_id).article_id,
-                    "is_reference": index.document(
-                        hit.doc_id
-                    ).is_reference,
-                }
-                for hit in candidates.hits
-            ],
-        }
+        return candidates_payload(
+            index, gather_candidates(index, query), index.index_version, "test"
+        )
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -234,10 +215,12 @@ class TestMergeMath:
             responses, topology, query.limit
         )
 
-        assert len(merged.hits) == len(expected)
-        for ours, theirs in zip(merged.hits, expected):
-            assert ours.doc_id == theirs.document.doc_id
-            assert ours.score == theirs.score  # bit-exact, not approx
+        assert len(merged) == len(expected)
+        for doc_id, score, theirs in zip(
+            merged.doc_ids.tolist(), merged.scores.tolist(), expected
+        ):
+            assert doc_id == theirs.document.doc_id
+            assert score == theirs.score  # bit-exact, not approx
 
     def test_window_filtered_merge_matches(self, system, tmp_path):
         topology = export_slices(system.engine.index, tmp_path, 2)
@@ -258,12 +241,10 @@ class TestMergeMath:
             for shard in topology.shards
         }
         merged = merge_shard_candidates(responses, topology, query.limit)
-        assert [h.doc_id for h in merged.hits] == [
+        assert merged.doc_ids.tolist() == [
             h.document.doc_id for h in expected
         ]
-        assert [h.score for h in merged.hits] == [
-            h.score for h in expected
-        ]
+        assert merged.scores.tolist() == [h.score for h in expected]
 
     def test_term_disagreement_is_rejected(self, system, tmp_path):
         topology = export_slices(system.engine.index, tmp_path, 2)
@@ -274,14 +255,20 @@ class TestMergeMath:
             )
             for shard in topology.shards
         }
-        responses[1]["terms"] = ["something-else"]
+        responses[1] = dataclasses.replace(
+            responses[1],
+            candidates=dataclasses.replace(
+                responses[1].candidates, terms=("something-else",)
+            ),
+        )
         with pytest.raises(ValueError, match="analyzed the query"):
             merge_shard_candidates(responses, topology, 10)
 
     def test_empty_responses_merge_to_nothing(self, system, tmp_path):
         topology = export_slices(system.engine.index, tmp_path, 2)
         merged = merge_shard_candidates({}, topology, 10)
-        assert merged.hits == ()
+        assert len(merged) == 0
+        assert merged.doc_ids.tolist() == []
 
 
 class TestHealthyByteIdentity:
