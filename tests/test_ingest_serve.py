@@ -33,6 +33,7 @@ from repro.ingest import IngestConfig, IngestPlane
 from repro.obs.metrics import Metrics
 from repro.obs.trace import Tracer
 from repro.search.engine import SearchEngine
+from repro.search.query import SearchQuery, execute
 from repro.search.realtime import RealTimeTimelineSystem
 from repro.serve import (
     BackgroundServer,
@@ -267,6 +268,47 @@ class TestIngestRoute:
         assert "wilson_serve_ingest_requests_total 1" in text
         assert "wilson_ingest_segments_sealed_total 1" in text
         assert f"wilson_ingest_index_version {system.index_version}" in text
+
+    def test_search_over_base_and_segments_matches_execute(
+        self, live_server
+    ):
+        running, system, _ = live_server
+        for article in make_articles()[BASE:]:  # one segment each
+            status, _, _ = _request(
+                running.port, "POST", "/v1/ingest",
+                {"articles": [wire_article(article)], "sync": True},
+            )
+            assert status == 200
+        index = system.engine.index
+        assert index.segment_count == len(make_articles()) - BASE
+        expected = execute(
+            index, SearchQuery(keywords=QUERY + ("garrison",), limit=50)
+        )
+        # Best first, the hits mix base and segment documents out of id
+        # order.
+        ids = [hit.document.doc_id for hit in expected]
+        assert ids != sorted(ids)
+        assert {doc_id < index.base.num_documents for doc_id in ids} == {
+            True, False
+        }
+
+        status, _, raw = _request(
+            running.port, "GET", "/v1/search?q=ceasefire+rebels+garrison"
+        )
+        assert status == 200
+        assert json.loads(raw)["hits"] == [
+            {
+                "text": hit.document.text,
+                "date": hit.document.date.isoformat(),
+                "publication_date": (
+                    hit.document.publication_date.isoformat()
+                ),
+                "article_id": hit.document.article_id,
+                "is_reference": hit.document.is_reference,
+                "score": hit.score,
+            }
+            for hit in expected
+        ]
 
     def test_malformed_payloads_answer_400(self, live_server):
         running, _, _ = live_server
